@@ -33,7 +33,7 @@ class LineSymmetry:
     axis_x: Interval
     axis_y: Interval
     permutation: tuple[int, ...]
-    through_body: int  # the body whose ray (with body n-2's) the axis bisects
+    through_body: int  # the body whose bisector with body n-2 was tried
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,26 @@ def approx_axis(a, b):
     ny = Interval(wy)
     norm = (nx.sqr() + ny.sqr()).sqrt()
     return (nx / norm, ny / norm)
+
+
+def reflection_axis(bodies, sigma):
+    """Enclosure of the unit axis of the reflection that maps each body k to
+    body sigma(k), or None.
+
+    The axis runs along q_k + q_sigma(k); when every such sum may vanish it
+    is perpendicular to q_k - q_sigma(k).  The k whose vector enclosure lies
+    furthest from 0 is used; None when none excludes 0.
+    """
+    sums = [(x + bodies[j][0], y + bodies[j][1]) for (x, y), j in zip(bodies, sigma)]
+    perps = [(bodies[j][1] - y, x - bodies[j][0]) for (x, y), j in zip(bodies, sigma)]
+    for cands in (sums, perps):
+        norm2, wx, wy = max(
+            ((wx.sqr() + wy.sqr(), wx, wy) for wx, wy in cands), key=lambda t: t[0].lo
+        )
+        if norm2.lo > 0.0:
+            norm = norm2.sqrt()
+            return (wx / norm, wy / norm)
+    return None
 
 
 def regauge_to_reduced(bodies, masses: Masses):
@@ -351,8 +371,14 @@ def symmetry_check(s: SolutionBox, masses: Masses) -> SymmetryResult:
             continue
         reflected = reflect_line(bodies, axis[0], axis[1])
         sigma = _try_axis(rctx, s, masses, reflected, bodies)
-        if sigma is not None:
-            line = LineSymmetry(axis[0], axis[1], sigma, i)
+        if sigma is None:
+            continue
+        # the certified map is the reflection about `axis` followed by the
+        # re-gauging rotation: a reflection about another line, whose axis
+        # is enclosed from the bodies and sigma
+        certified = reflection_axis(bodies, sigma)
+        if certified is not None:
+            line = LineSymmetry(certified[0], certified[1], sigma, i)
             break
     if ox_perm is not None or line is not None:
         return SymmetryResult(ox_perm, line, asymmetric=False)

@@ -160,6 +160,9 @@ def cmd_bench(args) -> int:
                     }
                 )
     _emit(args.out, report_mod.render_bench_csv(rows))
+    if any(r["undecided"] for r in rows):
+        print("NOT A PROOF: undecided cubes remain in the grid", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -5,10 +5,11 @@ because x appears twice.  The kernel has no interior critical points on a
 box excluding the origin, so its exact range is attained on the border at
 finitely many candidate points: the corners, the axis crossings x=0 / y=0,
 and the crossings of the critical lines y = +-x*sqrt((b-a)/a) and
-x = +-y*sqrt((b-a)/a) with the edges.  We evaluate all candidates in
-interval arithmetic (line crossings as thin interval points, clipped to
-their edge) and intersect with the naive evaluation, so the result both
-contains the true range and never exceeds the naive bound.
+x = +-y*sqrt((b-a)/a) with the edges.  We clip the candidates to their
+edge (line crossings as thin interval points), evaluate the ones that lie
+on the box in interval arithmetic and intersect with the naive
+evaluation, so the result both contains the true range and never exceeds
+the naive bound.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _slope(a: int, b: int) -> Interval:
 
 
 def _r_pow(r2lo, r2hi, b):
-    """(r^b)_lo, (r^b)_hi from an enclosure of r^2; b may be a per-row array."""
+    """(r^b)_lo, (r^b)_hi from an enclosure of r^2; b may be a per-element array."""
     if isinstance(b, np.ndarray):
         rlo, rhi = bx.isqrt(r2lo, r2hi)
         r3lo, r3hi = bx.imul(r2lo, r2hi, rlo, rhi)
@@ -59,9 +60,6 @@ def _r_pow(r2lo, r2hi, b):
         r5lo, r5hi = bx.imul(r4lo, r4hi, rlo, rhi)
         sel2 = b == 2
         sel3 = b == 3
-        if r2lo.ndim == 2:
-            sel2 = sel2[:, None]
-            sel3 = sel3[:, None]
         lo = np.where(sel2, r2lo, np.where(sel3, r3lo, r5lo))
         hi = np.where(sel2, r2hi, np.where(sel3, r3hi, r5hi))
         return lo, hi
@@ -87,12 +85,10 @@ def inv_r_pow_batch(dxlo, dxhi, dylo, dyhi, b: int):
 
 
 def _num_pow(cxlo, cxhi, a):
-    """Numerator power x^a; a may be a per-row array with values in {1, 2}."""
+    """Numerator power x^a; a may be a per-element array with values in {1, 2}."""
     if isinstance(a, np.ndarray):
         sqlo, sqhi = bx.isqr(cxlo, cxhi)
         sel = a == 1
-        if cxlo.ndim == 2:
-            sel = sel[:, None]
         return np.where(sel, cxlo, sqlo), np.where(sel, cxhi, sqhi)
     return _kernel_pow(cxlo, cxhi, a)
 
@@ -110,82 +106,71 @@ def _kernel_at(cxlo, cxhi, cylo, cyhi, a, b):
 def bound_kernel_batch(dxlo, dxhi, dylo, dyhi, a, b, slope_lo=None, slope_hi=None):
     """Vectorized range enclosure of dx^a/r^b over boxes [dx] x [dy].
 
-    Caller guarantees the boxes exclude the origin.  For the Y-axis kernel
-    swap the dx and dy arguments (the candidate set is swap-symmetric).
-    Candidates outside their edge clip to the empty interval and drop out,
-    so no per-slot validity logic is needed.  `a` and `b` may be per-row
-    arrays (then `slope_lo`/`slope_hi` must carry the per-row critical
-    slopes); point boxes short-circuit to the naive evaluation, which is
-    already exact for them.
+    Raises SingularBox if a box may contain the origin.  For the Y-axis
+    kernel swap the dx and dy arguments (the candidate set is
+    swap-symmetric).  Candidates are clipped to their edge and only the
+    ones left nonempty are evaluated.  `a` and `b` may be per-row arrays
+    (then `slope_lo`/`slope_hi` must carry the per-row critical slopes);
+    point boxes short-circuit to the naive evaluation, which is already
+    exact for them.
     """
+    # never worse than the naive evaluation, and it certifies the precondition
+    nlo, nhi = _naive(dxlo, dxhi, dylo, dyhi, a, b)
     if np.all(dxlo == dxhi) and np.all(dylo == dyhi):
-        return _naive(dxlo, dxhi, dylo, dyhi, a, b)
+        return nlo, nhi
     if slope_lo is None:
         s = _slope(int(a), int(b))
         slope_lo = np.full_like(dxlo, s.lo)
         slope_hi = np.full_like(dxlo, s.hi)
-    zeros = np.zeros_like(dxlo)
-
-    def div_s(clo, chi):  # c / s
-        return bx.idiv_pos(clo, chi, slope_lo, slope_hi)
-
-    def mul_s(clo, chi):  # c * s
-        return bx.imul(clo, chi, slope_lo, slope_hi)
-
-    colx: list[tuple] = []
-    coly: list[tuple] = []
+    shape = (len(dxlo), 24)
+    cxlo, cxhi, cylo, cyhi = (np.empty(shape) for _ in range(4))
+    col = 0
 
     def cand(xpair, ypair):
-        colx.append(xpair)
-        coly.append(ypair)
+        nonlocal col
+        cxlo[:, col], cxhi[:, col] = xpair
+        cylo[:, col], cyhi[:, col] = ypair
+        col += 1
 
     for xe in ((dxlo, dxlo), (dxhi, dxhi)):
         for ye in ((dylo, dylo), (dyhi, dyhi)):
             cand(xe, ye)  # corners
-    cand((zeros, zeros), (dylo, dylo))  # x = 0 on the horizontal edges
-    cand((zeros, zeros), (dyhi, dyhi))
-    cand((dxlo, dxlo), (zeros, zeros))  # y = 0 on the vertical edges
-    cand((dxhi, dxhi), (zeros, zeros))
+    cand((0.0, 0.0), (dylo, dylo))  # x = 0 on the horizontal edges
+    cand((0.0, 0.0), (dyhi, dyhi))
+    cand((dxlo, dxlo), (0.0, 0.0))  # y = 0 on the vertical edges
+    cand((dxhi, dxhi), (0.0, 0.0))
     for ce in ((dylo, dylo), (dyhi, dyhi)):
         # slopes +-s and +-1/s crossing the horizontal edge y = c at x = c/m
-        q1 = div_s(*ce)
-        q2 = mul_s(*ce)
+        q1 = bx.idiv_pos(*ce, slope_lo, slope_hi)
+        q2 = bx.imul(*ce, slope_lo, slope_hi)
         cand(q1, ce)
         cand(q2, ce)
         cand((-q1[1], -q1[0]), ce)
         cand((-q2[1], -q2[0]), ce)
     for ce in ((dxlo, dxlo), (dxhi, dxhi)):
         # the same four slopes crossing the vertical edge x = c at y = m*c
-        q1 = mul_s(*ce)
-        q2 = div_s(*ce)
+        q1 = bx.imul(*ce, slope_lo, slope_hi)
+        q2 = bx.idiv_pos(*ce, slope_lo, slope_hi)
         cand(ce, q1)
         cand(ce, q2)
         cand(ce, (-q1[1], -q1[0]))
         cand(ce, (-q2[1], -q2[0]))
 
-    cxlo = np.stack([c[0] for c in colx], axis=1)
-    cxhi = np.stack([c[1] for c in colx], axis=1)
-    cylo = np.stack([c[0] for c in coly], axis=1)
-    cyhi = np.stack([c[1] for c in coly], axis=1)
-    # clip every candidate to the box; out-of-edge candidates become empty
-    cxlo = np.maximum(cxlo, dxlo[:, None])
-    cxhi = np.minimum(cxhi, dxhi[:, None])
-    cylo = np.maximum(cylo, dylo[:, None])
-    cyhi = np.minimum(cyhi, dyhi[:, None])
+    # clip every candidate to the box and evaluate the nonempty ones only
+    np.maximum(cxlo, dxlo[:, None], out=cxlo)
+    np.minimum(cxhi, dxhi[:, None], out=cxhi)
+    np.maximum(cylo, dylo[:, None], out=cylo)
+    np.minimum(cyhi, dyhi[:, None], out=cyhi)
     valid = (cxlo <= cxhi) & (cylo <= cyhi)
-    # park invalid slots on the (dxlo, dylo) corner: in-box, hence nonsingular
-    cxlo_e = np.where(valid, cxlo, dxlo[:, None])
-    cxhi_e = np.where(valid, cxhi, dxlo[:, None])
-    cylo_e = np.where(valid, cylo, dylo[:, None])
-    cyhi_e = np.where(valid, cyhi, dylo[:, None])
-
-    vlo, vhi = _kernel_at(cxlo_e, cxhi_e, cylo_e, cyhi_e, a, b)
-    lo = np.min(np.where(valid, vlo, np.inf), axis=1)
-    hi = np.max(np.where(valid, vhi, -np.inf), axis=1)
-
-    # never worse than the naive evaluation (and it certifies the precondition)
-    nlo, nhi = _naive(dxlo, dxhi, dylo, dyhi, a, b)
-    return np.maximum(lo, nlo), np.minimum(hi, nhi)
+    if isinstance(a, np.ndarray):
+        rows = np.nonzero(valid)[0]
+        a, b = a[rows], b[rows]
+    vlo, vhi = _kernel_at(cxlo[valid], cxhi[valid], cylo[valid], cyhi[valid], a, b)
+    lo = np.full(shape, np.inf)
+    hi = np.full(shape, -np.inf)
+    lo[valid] = vlo
+    hi[valid] = vhi
+    return np.maximum(lo.min(axis=1), nlo), np.minimum(hi.max(axis=1), nhi)
 
 
 def _naive(dxlo, dxhi, dylo, dyhi, a, b):

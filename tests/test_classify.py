@@ -103,6 +103,31 @@ class TestSymmetry:
             tx, ty = mids[perm[i]]
             assert abs(rx - tx) < 1e-7 and abs(ry - ty) < 1e-7
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_stored_line_axis_maps_bodies(self, n):
+        """Reflecting the body midpoints about the stored axis maps body k to
+        body sigma(k) for every listed candidate with a line symmetry."""
+        from conftest import load_listed
+        from ccenum.verify import verify_candidate
+
+        m = Masses.equal(n)
+        lines = 0
+        for k, pts in enumerate(load_listed(n)):
+            res = verify_candidate(k, pts, m)
+            line = res.symmetry.line
+            if line is None:
+                continue
+            lines += 1
+            assert line.axis_x.width < 1e-9 and line.axis_y.width < 1e-9
+            cx, cy = line.axis_x.mid, line.axis_y.mid
+            assert abs(np.hypot(cx, cy) - 1.0) < 1e-12
+            rxx, rxy = cx * cx - cy * cy, 2.0 * cx * cy
+            mids = [(x.mid, y.mid) for x, y in classify.full_bodies(res.solution, m)]
+            for (px, py), j in zip(mids, line.permutation):
+                tx, ty = mids[j]
+                assert np.hypot(rxx * px + rxy * py - tx, rxy * px - rxx * py - ty) < 1e-6, k
+        assert lines == {5: 5, 6: 9}[n]
+
     def test_asymmetric_candidate(self):
         from conftest import load_listed
         from ccenum.verify import verify_candidate

@@ -66,6 +66,15 @@ class TestBenchCommand:
         assert len(lines) == 3
         assert lines[0].startswith("n,bias,ordering")
 
+    def test_undecided_boxes_fail(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        code = main(
+            ["bench", "--n-list", "3", "--eps", "0.2", "--bias-list", "0.3", "--out", str(out)]
+        )
+        assert code == 1
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[6] == "9"  # the undecided column
+
     def test_empty_grid(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = main(["bench", "--n-list", "", "--out", str(out)])

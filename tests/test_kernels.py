@@ -1,12 +1,19 @@
-"""Kernel range bounds: worked examples, the dense-grid oracle, and the
-tightness guarantees against the naive evaluation."""
+"""Kernel range bounds: worked examples, the dense-grid oracle, the
+tightness guarantees against the naive evaluation, the dense 24-slot
+reference for the compacted evaluation, and an mpmath containment oracle."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
+from ccenum import boxops as bx
 from ccenum.errors import DomainError
 from ccenum.interval import Interval
-from ccenum.kernels import KernelQuery, SingularBox, bound_kernel, bound_kernel_batch
+from ccenum.kernels import KernelQuery, SingularBox, _slope, bound_kernel, bound_kernel_batch
+from ccenum.model import Masses
+from ccenum.reduced import reduced_ctx
 from oracles import kernel_grid_range
 
 
@@ -110,3 +117,226 @@ class TestBatchDegenerate:
         assert lo[0] <= 1.0 <= hi[0]
         v = 2.0 / np.hypot(2.0, 1.0) ** 3
         assert lo[1] <= v <= hi[1]
+
+
+# ---------------------------------------------------------------------------
+# dense 24-slot reference: every candidate is evaluated, invalid slots are
+# parked on the (dxlo, dylo) corner and masked out afterwards
+
+
+def _dense_pow(xlo, xhi, a):
+    sqlo, sqhi = bx.isqr(xlo, xhi)
+    return np.where(a == 1, xlo, sqlo), np.where(a == 1, xhi, sqhi)
+
+
+def _dense_r_pow(r2lo, r2hi, b):
+    rlo, rhi = bx.isqrt(r2lo, r2hi)
+    r3lo, r3hi = bx.imul(r2lo, r2hi, rlo, rhi)
+    r4lo, r4hi = bx.imul(r2lo, r2hi, r2lo, r2hi)
+    r5lo, r5hi = bx.imul(r4lo, r4hi, rlo, rhi)
+    lo = np.where(b == 2, r2lo, np.where(b == 3, r3lo, r5lo))
+    hi = np.where(b == 2, r2hi, np.where(b == 3, r3hi, r5hi))
+    return lo, hi
+
+
+def _dense_at(cxlo, cxhi, cylo, cyhi, a, b):
+    tlo, thi = _dense_pow(cxlo, cxhi, a)
+    x2lo, x2hi = bx.isqr(cxlo, cxhi)
+    y2lo, y2hi = bx.isqr(cylo, cyhi)
+    r2lo, r2hi = bx.iadd(x2lo, x2hi, y2lo, y2hi)
+    rblo, rbhi = _dense_r_pow(r2lo, r2hi, b)
+    return bx.idiv_pos(tlo, thi, rblo, rbhi)
+
+
+def dense_reference(dxlo, dxhi, dylo, dyhi, a, b, slope_lo, slope_hi):
+    """The kernel bound with all 24 candidate slots evaluated; a, b, slopes per row."""
+    if np.all(dxlo == dxhi) and np.all(dylo == dyhi):
+        return _dense_at(dxlo, dxhi, dylo, dyhi, a, b)
+    zeros = np.zeros_like(dxlo)
+    cols = []
+    for xe in (dxlo, dxhi):
+        for ye in (dylo, dyhi):
+            cols.append(((xe, xe), (ye, ye)))
+    cols += [((zeros, zeros), (dylo, dylo)), ((zeros, zeros), (dyhi, dyhi))]
+    cols += [((dxlo, dxlo), (zeros, zeros)), ((dxhi, dxhi), (zeros, zeros))]
+    for c in (dylo, dyhi):
+        q1 = bx.idiv_pos(c, c, slope_lo, slope_hi)
+        q2 = bx.imul(c, c, slope_lo, slope_hi)
+        for q in (q1, q2, (-q1[1], -q1[0]), (-q2[1], -q2[0])):
+            cols.append((q, (c, c)))
+    for c in (dxlo, dxhi):
+        q1 = bx.imul(c, c, slope_lo, slope_hi)
+        q2 = bx.idiv_pos(c, c, slope_lo, slope_hi)
+        for q in (q1, q2, (-q1[1], -q1[0]), (-q2[1], -q2[0])):
+            cols.append(((c, c), q))
+    cxlo = np.maximum(np.stack([c[0][0] for c in cols], axis=1), dxlo[:, None])
+    cxhi = np.minimum(np.stack([c[0][1] for c in cols], axis=1), dxhi[:, None])
+    cylo = np.maximum(np.stack([c[1][0] for c in cols], axis=1), dylo[:, None])
+    cyhi = np.minimum(np.stack([c[1][1] for c in cols], axis=1), dyhi[:, None])
+    valid = (cxlo <= cxhi) & (cylo <= cyhi)
+    vlo, vhi = _dense_at(
+        np.where(valid, cxlo, dxlo[:, None]),
+        np.where(valid, cxhi, dxlo[:, None]),
+        np.where(valid, cylo, dylo[:, None]),
+        np.where(valid, cyhi, dylo[:, None]),
+        a[:, None],
+        b[:, None],
+    )
+    lo = np.min(np.where(valid, vlo, np.inf), axis=1)
+    hi = np.max(np.where(valid, vhi, -np.inf), axis=1)
+    nlo, nhi = _dense_at(dxlo, dxhi, dylo, dyhi, a, b)
+    return np.maximum(lo, nlo), np.minimum(hi, nhi)
+
+
+def _random_boxes(rng, count):
+    """Boxes away from the origin with widths from 1e-12 to 1e3, some sides
+    on an axis, some of zero width, and some point boxes."""
+    cx = rng.uniform(-3, 3, count)
+    cy = rng.uniform(-3, 3, count)
+    wx = 10.0 ** rng.uniform(-12, 3, count)
+    wy = 10.0 ** rng.uniform(-12, 3, count)
+    wx[rng.random(count) < 0.05] = 0.0
+    wy[rng.random(count) < 0.05] = 0.0
+    point = rng.random(count) < 0.02
+    wx[point] = wy[point] = 0.0
+    xlo, xhi, ylo, yhi = cx - wx, cx + wx, cy - wy, cy + wy
+    # some edges exactly on an axis
+    on = rng.random(count) < 0.05
+    xlo[on & (cx > 0)] = 0.0
+    xhi[on & (cx < 0)] = 0.0
+    on = rng.random(count) < 0.05
+    ylo[on & (cy > 0)] = 0.0
+    yhi[on & (cy < 0)] = 0.0
+    keep = ~((xlo <= 0) & (xhi >= 0) & (ylo <= 0) & (yhi >= 0))
+    return xlo[keep], xhi[keep], ylo[keep], yhi[keep]
+
+
+def _special_boxes(a, b):
+    """Hand-picked rows: edges on an axis, zero-width sides, point boxes,
+    widths 1e-12 and 1e3, and a critical line through a corner."""
+    s = float(np.sqrt((b - a) / a))
+    rows = [
+        (0.0, 1.0, 1.0, 2.0),  # left edge on x = 0
+        (-1.0, 1.0, 0.5, 0.5),  # zero-height side crossing x = 0
+        (1.0, 1.0, -2.0, 3.0),  # zero-width side crossing y = 0
+        (1.5, 1.5, 0.25, 0.25),  # point box
+        (2.0, 2.0 + 1e-12, 1.0, 1.0 + 1e-12),
+        (-1e3, 1e3, 1.0, 1e3),
+        (1.0, 2.0, s, 3.0),  # y = s*x passes through the corner (1, s)
+        (s, 3.0, 1.0, 2.0),  # x = s*y passes through the corner (s, 1)
+        (-2.0, -1.0, -3.0, -s),  # the same line through (-1, -s)
+        (1.0, 2.0, 1.0 / s, 4.0),  # y = x/s through (1, 1/s)
+    ]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _check_against_dense(xlo, xhi, ylo, yhi, a, b, per_row=False):
+    s = _slope(a, b)
+    k = len(xlo)
+    av, bv = np.full(k, a), np.full(k, b)
+    slo, shi = np.full(k, s.lo), np.full(k, s.hi)
+    ref = dense_reference(xlo, xhi, ylo, yhi, av, bv, slo, shi)
+    out = (
+        bound_kernel_batch(xlo, xhi, ylo, yhi, av, bv, slo, shi)
+        if per_row
+        else bound_kernel_batch(xlo, xhi, ylo, yhi, a, b)
+    )
+    assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
+
+
+class TestCompactionMatchesDense:
+    @pytest.mark.parametrize("a,b", [(1, 3), (1, 2), (2, 5)])
+    def test_seeded_batch(self, a, b):
+        rng = np.random.default_rng(100 * a + b)
+        boxes = _random_boxes(rng, 24000)
+        assert len(boxes[0]) >= 20000
+        _check_against_dense(*boxes, a, b)
+        _check_against_dense(*boxes, a, b, per_row=True)
+
+    @pytest.mark.parametrize("a,b", [(1, 3), (1, 2), (2, 5)])
+    def test_special_boxes(self, a, b):
+        boxes = _special_boxes(a, b)
+        _check_against_dense(*boxes, a, b)
+        for i in range(len(boxes[0])):  # one row at a time: the point short-circuit
+            _check_against_dense(*(c[i : i + 1] for c in boxes), a, b)
+
+    def test_per_row_layout_of_the_reduced_jacobian(self):
+        rctx = reduced_ctx(Masses.equal(5))
+        rng = np.random.default_rng(7)
+        k = 600
+        P = rctx.m.P
+        xlo, xhi, ylo, yhi = (c[: k * 4 * P] for c in _random_boxes(rng, 5 * k * 4 * P))
+        assert len(xlo) == k * 4 * P
+        a = np.tile(rctx.a_codes, k)
+        b = np.tile(rctx.b_codes, k)
+        slo = np.tile(rctx.slope_lo, k)
+        shi = np.tile(rctx.slope_hi, k)
+        ref = dense_reference(xlo, xhi, ylo, yhi, a, b, slo, shi)
+        out = bound_kernel_batch(xlo, xhi, ylo, yhi, a, b, slo, shi)
+        assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
+
+    def test_singular_box_raises_before_any_float_warning(self):
+        # underflow stays quiet: the outward step of boxops from 0.0 is the
+        # subnormal -5e-324, which numpy flags as underflow in every box that
+        # touches an axis, singular or not
+        xlo = np.array([1.0, 0.0, -1.0])
+        xhi = np.array([2.0, 1.0, 1.0])
+        ylo = np.array([1.0, 0.0, 0.0])
+        yhi = np.array([2.0, 1.0, 0.0])
+        for rows in (slice(1, 2), slice(0, 2), slice(2, 3), slice(0, 3)):
+            with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+                warnings.simplefilter("error")
+                with pytest.raises(SingularBox):
+                    bound_kernel_batch(xlo[rows], xhi[rows], ylo[rows], yhi[rows], 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: mpmath interval arithmetic at 50 digits, evaluation
+# points computed in mpmath
+
+
+def _mp_points(xlo, xhi, ylo, yhi, a, b, rng):
+    """Corners, axis crossings, critical-line crossings and 16 random points."""
+    mp = mpmath.mp
+    X = (mp.mpf(xlo), mp.mpf(xhi))
+    Y = (mp.mpf(ylo), mp.mpf(yhi))
+    pts = [(x, y) for x in X for y in Y]
+    if X[0] <= 0 <= X[1]:
+        pts += [(mp.mpf(0), y) for y in Y]
+    if Y[0] <= 0 <= Y[1]:
+        pts += [(x, mp.mpf(0)) for x in X]
+    s = mp.sqrt(mp.mpf(b - a) / a)
+    for m in (s, -s, 1 / s, -1 / s):
+        pts += [(y / m, y) for y in Y if X[0] <= y / m <= X[1]]
+        pts += [(x, m * x) for x in X if Y[0] <= m * x <= Y[1]]
+    for _ in range(16):
+        pts.append((mp.mpf(rng.uniform(xlo, xhi)), mp.mpf(rng.uniform(ylo, yhi))))
+    return pts
+
+
+def _iv_kernel(x, y, a, b):
+    iv = mpmath.iv
+    x, y = iv.mpf(x), iv.mpf(y)
+    return x**a / iv.sqrt(x * x + y * y) ** b
+
+
+class TestMpmathOracle:
+    def test_enclosure_contains_exact_values(self):
+        rng = np.random.default_rng(31415)
+        boxes = []
+        for a, b in ((1, 3), (1, 2), (2, 5)):
+            xs = [np.concatenate(p) for p in zip(_random_boxes(rng, 60), _special_boxes(a, b))]
+            boxes += [(a, b, *row) for row in zip(*xs)]
+        saved = mpmath.iv.dps
+        mpmath.iv.dps = 50
+        try:
+            with mpmath.workdps(50):
+                for a, b, xlo, xhi, ylo, yhi in boxes:
+                    lo, hi = bound_kernel_batch(
+                        np.array([xlo]), np.array([xhi]), np.array([ylo]), np.array([yhi]), a, b
+                    )
+                    for x, y in _mp_points(xlo, xhi, ylo, yhi, a, b, rng):
+                        v = _iv_kernel(x, y, a, b)
+                        assert lo[0] <= v.a and v.b <= hi[0], (a, b, xlo, xhi, ylo, yhi, x, y)
+        finally:
+            mpmath.iv.dps = saved
