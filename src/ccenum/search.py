@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +41,6 @@ class SearchConfig:
     overlap: float = 1e-3
     ordering: str = "decreasing"
     threads: int = 1
-    parallel_depth: int | None = None
     rigorous: bool = True
 
     def __post_init__(self):
@@ -57,11 +56,6 @@ class SearchConfig:
             raise ValueError(f"ordering must be one of {ORDERINGS}")
         if self.rigorous and self.overlap == 0.0:
             raise ValueError("overlap 0 breaks interior coverage; only allowed non-rigorously")
-
-    def effective_parallel_depth(self) -> int:
-        if self.parallel_depth is not None:
-            return self.parallel_depth
-        return max(1, math.ceil(math.log2(4 * max(1, self.threads))))
 
 
 @dataclass
@@ -108,6 +102,18 @@ def initial_domain(cfg: SearchConfig) -> ReducedBox:
     return ReducedBox.from_arrays(*bxo.pack(entries))
 
 
+def split(lo: np.ndarray, hi: np.ndarray, coord: int, overlap: float):
+    """Split `coord` at its midpoint, each half reaching `width * overlap`
+    past it; returns the two (lo, hi) halves, lower half first."""
+    mid = (lo[coord] + hi[coord]) / 2.0
+    margin = (hi[coord] - lo[coord]) * overlap
+    llo, lhi = lo.copy(), hi.copy()
+    rlo, rhi = lo.copy(), hi.copy()
+    lhi[coord] = mid + margin
+    rlo[coord] = mid - margin
+    return (llo, lhi), (rlo, rhi)
+
+
 def bisect_with_overlap(
     box: ReducedBox, coord: int, overlap: float, allow_zero: bool = False
 ) -> tuple[ReducedBox, ReducedBox]:
@@ -117,13 +123,8 @@ def bisect_with_overlap(
     lo, hi = box.arrays()
     if hi[coord] <= lo[coord]:
         raise ValueError("cannot bisect a zero-width coordinate")
-    left_lo, left_hi = lo.copy(), hi.copy()
-    right_lo, right_hi = lo.copy(), hi.copy()
-    mid = (lo[coord] + hi[coord]) / 2.0
-    margin = (hi[coord] - lo[coord]) * overlap
-    left_hi[coord] = mid + margin
-    right_lo[coord] = mid - margin
-    return ReducedBox.from_arrays(left_lo, left_hi), ReducedBox.from_arrays(right_lo, right_hi)
+    left, right = split(lo, hi, coord, overlap)
+    return ReducedBox.from_arrays(*left), ReducedBox.from_arrays(*right)
 
 
 def make_solution(rctx, Klo, Khi, masses: Masses) -> SolutionBox:
@@ -135,40 +136,30 @@ def make_solution(rctx, Klo, Khi, masses: Masses) -> SolutionBox:
 
 
 BATCH = 128
+# boxes a worker processes before it hands the rest of its stack back
+TASK_BOXES = 2048
 
 
-def _search_loop(
-    rctx, bset, cfg: SearchConfig, masses: Masses, roots, depth0: int, frontier_depth: int | None
-):
-    """Iterative depth-first search, processing the stack in batched chunks.
+def _search_loop(rctx, bset, cfg: SearchConfig, masses: Masses, stack, budget=math.inf):
+    """Iterative depth-first search over a stack of (lo, hi) boxes, top
+    last, processing it in batched chunks.
 
-    With `frontier_depth` set, boxes reaching that depth are returned
-    unprocessed (for parallel dispatch) instead of being explored.
+    Once `budget` boxes are processed it stops between chunks; the
+    unprocessed stack comes back last, and feeding it back in continues
+    the same tree.
     """
     stats = SearchStats()
     solutions: list[SolutionBox] = []
     undecided_boxes: list[tuple[np.ndarray, np.ndarray]] = []
-    frontier: list[tuple[np.ndarray, np.ndarray]] = []
-    stack = [(lo, hi, depth0) for lo, hi in reversed(roots)]
+    stack = list(stack)
     report_every = 500000
     next_report = report_every
-    while stack:
+    while stack and stats.calls < budget:
         take = min(BATCH, len(stack))
         chunk = stack[-take:]
         del stack[-take:]
-        if frontier_depth is not None:
-            kept = []
-            for item in chunk:
-                if item[2] >= frontier_depth:
-                    frontier.append((item[0], item[1]))
-                else:
-                    kept.append(item)
-            chunk = kept
-            if not chunk:
-                continue
         zlo = np.stack([c[0] for c in chunk])
         zhi = np.stack([c[1] for c in chunk])
-        depths = [c[2] for c in chunk]
         stats.calls += len(chunk)
         if log.isEnabledFor(logging.DEBUG) and stats.calls >= next_report:
             next_report += report_every
@@ -213,68 +204,65 @@ def _search_loop(
                 stats.undecided += 1
                 undecided_boxes.append((blo, bhi))
                 continue
-            coord = int(np.argmax(widths))
-            mid = (blo[coord] + bhi[coord]) / 2.0
-            margin = widths[coord] * cfg.overlap
-            llo, lhi = blo.copy(), bhi.copy()
-            rlo, rhi = blo.copy(), bhi.copy()
-            lhi[coord] = mid + margin
-            rlo[coord] = mid - margin
-            children.append((rlo, rhi, depths[b] + 1))
-            children.append((llo, lhi, depths[b] + 1))
+            left, right = split(blo, bhi, int(np.argmax(widths)), cfg.overlap)
+            children += (right, left)
         # keep depth-first flavor: the last chunk element's children end on top
         stack.extend(children)
-    return solutions, stats, undecided_boxes, frontier
+    return solutions, stats, undecided_boxes, stack
 
 
 def _subtree_task(args):
-    n, mass_key, cfg_kwargs, lo_list, hi_list = args
-    masses = Masses([Interval(a, b) for a, b in mass_key])
-    cfg = SearchConfig(**cfg_kwargs)
+    """Pool entry point: search a stack of boxes for at most `budget` boxes."""
+    cfg, masses, stack, budget = args
     rctx = reduced_mod.reduced_ctx(masses)
-    bset = bounds_mod.compute_bounds(n, masses)
-    roots = [(np.array(lo_list), np.array(hi_list))]
-    sols, stats, undec, _ = _search_loop(rctx, bset, cfg, masses, roots, 0, None)
-    packed = [(s.reduced.arrays()[0].tolist(), s.reduced.arrays()[1].tolist()) for s in sols]
-    return packed, stats, [(lo.tolist(), hi.tolist()) for lo, hi in undec]
+    bset = bounds_mod.compute_bounds(cfg.n, masses)
+    return _search_loop(rctx, bset, cfg, masses, stack, budget)
 
 
 def search(box: ReducedBox, cfg: SearchConfig, masses: Masses):
     """All certified solutions in the box plus run statistics.
 
     Returns (solutions, stats, undecided_boxes); a run is a proof only
-    when no undecided boxes remain.
+    when no undecided boxes remain.  With `threads > 1` worker processes
+    take subtrees of at most `TASK_BOXES` boxes and hand back the stack
+    they did not reach, which is split again into new tasks; every box is
+    processed once by the same code, so the counters are the serial run's,
+    and results are merged in task-key order, which depends only on the
+    tree.
     """
     if not masses.equal_mass:
         raise RefusedUnequalMasses("the normalized search domain assumes equal masses")
-    rctx = reduced_mod.reduced_ctx(masses)
-    bset = bounds_mod.compute_bounds(cfg.n, masses)
-    zlo, zhi = box.arrays()
+    root = [box.arrays()]
     if cfg.threads <= 1:
-        sols, stats, undec, _ = _search_loop(rctx, bset, cfg, masses, [(zlo, zhi)], 0, None)
+        rctx = reduced_mod.reduced_ctx(masses)
+        bset = bounds_mod.compute_bounds(cfg.n, masses)
+        sols, stats, undec, _ = _search_loop(rctx, bset, cfg, masses, root)
         return sols, stats, undec
-    depth = cfg.effective_parallel_depth()
-    sols, stats, undec, frontier = _search_loop(rctx, bset, cfg, masses, [(zlo, zhi)], 0, depth)
-    cfg_kwargs = dict(
-        n=cfg.n,
-        eps=cfg.eps,
-        bias=cfg.bias,
-        overlap=cfg.overlap,
-        ordering=cfg.ordering,
-        threads=1,
-        rigorous=cfg.rigorous,
-    )
-    tasks = [
-        (cfg.n, masses.key(), cfg_kwargs, lo.tolist(), hi.tolist()) for lo, hi in frontier
-    ]
     workers = min(cfg.threads, max(1, os.cpu_count() or 1))
-    if tasks:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for packed, sub_stats, sub_undec in pool.map(_subtree_task, tasks):
+    stats = SearchStats()
+    parts = {}  # task key -> (solutions, undecided boxes)
+    queue = [((), root)]
+    running = {}
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        while queue or running:
+            while queue and len(running) < 2 * workers:
+                key, stack = queue.pop()
+                task = (cfg, masses, stack, TASK_BOXES)
+                running[pool.submit(_subtree_task, task)] = key
+            finished, _ = wait(running, return_when=FIRST_COMPLETED)
+            for fut in finished:
+                key = running.pop(fut)
+                sols, sub_stats, undec, rest = fut.result()
                 stats.merge(sub_stats)
-                for lo_list, hi_list in packed:
-                    sols.append(
-                        make_solution(rctx, np.array(lo_list), np.array(hi_list), masses)
-                    )
-                undec.extend((np.array(a), np.array(b)) for a, b in sub_undec)
-    return sols, stats, undec
+                parts[key] = (sols, undec)
+                for k in range(min(workers, len(rest))):
+                    queue.append((key + (k,), rest[k::workers]))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    keys = sorted(parts)
+    return (
+        [s for key in keys for s in parts[key][0]],
+        stats,
+        [u for key in keys for u in parts[key][1]],
+    )

@@ -17,7 +17,9 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 class SearchRun:
-    def __init__(self, cfg, masses, domain, solutions, stats, undecided, records, seconds):
+    def __init__(
+        self, cfg, masses, domain, solutions, stats, undecided, records, seconds, cpu_seconds
+    ):
         self.cfg = cfg
         self.masses = masses
         self.domain = domain
@@ -26,6 +28,8 @@ class SearchRun:
         self.undecided = undecided
         self.records = records
         self.seconds = seconds
+        # the parent's CPU time only: a parallel run's workers are not counted
+        self.cpu_seconds = cpu_seconds
 
 
 def _run(n: int, **kwargs) -> SearchRun:
@@ -34,11 +38,13 @@ def _run(n: int, **kwargs) -> SearchRun:
     cfg = SearchConfig(n=n, **kwargs)
     masses = Masses.equal(n)
     domain = initial_domain(cfg)
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     solutions, stats, undecided = search(domain, cfg, masses)
-    seconds = time.perf_counter() - t0
+    seconds, cpu_seconds = time.perf_counter() - t0, time.process_time() - c0
     records = classify_solutions(solutions, masses)
-    return SearchRun(cfg, masses, domain, solutions, stats, undecided, records, seconds)
+    return SearchRun(
+        cfg, masses, domain, solutions, stats, undecided, records, seconds, cpu_seconds
+    )
 
 
 @pytest.fixture(scope="session")
@@ -63,7 +69,8 @@ def run_n4_coarse_bias() -> SearchRun:
 
 @pytest.fixture(scope="session")
 def run_n5() -> SearchRun:
-    return _run(5)
+    # the parallel path; the n = 3 and n = 4 runs keep the serial loop
+    return _run(5, threads=2)
 
 
 def load_listed(n: int):

@@ -4,10 +4,11 @@ parallel equivalence, and counter bookkeeping."""
 import numpy as np
 import pytest
 
+from ccenum import bounds, reduced, search as search_mod
 from ccenum.interval import Interval, IntervalVector
 from ccenum.model import Masses
 from ccenum.reduced import ReducedBox
-from ccenum.search import SearchConfig, bisect_with_overlap, initial_domain, search
+from ccenum.search import SearchConfig, SearchStats, bisect_with_overlap, initial_domain, search
 
 
 class TestConfig:
@@ -93,18 +94,48 @@ class TestSearchRuns:
         for a, b in zip(sols, run_n3.solutions):
             assert np.array_equal(a.reduced.arrays()[0], b.reduced.arrays()[0])
 
-    def test_parallel_same_solution_set(self, run_n3):
+    def test_budget_hands_back_the_stack(self, run_n3):
+        """Feeding each returned stack back in continues the serial tree."""
+        cfg = SearchConfig(n=3)
+        m = Masses.equal(3)
+        rctx, bset = reduced.reduced_ctx(m), bounds.compute_bounds(3, m)
+        stack = [initial_domain(cfg).arrays()]
+        total, sols, rounds = SearchStats(), [], 0
+        while stack:
+            part, stats, _, stack = search_mod._search_loop(rctx, bset, cfg, m, stack, budget=16)
+            total.merge(stats)
+            sols += part
+            rounds += 1
+        assert rounds > 1
+        assert total == run_n3.stats
+        assert _keyset(sols) == _keyset(run_n3.solutions)
+
+    def test_parallel_same_solution_set(self, run_n3, monkeypatch):
+        """Small task budgets force repeated splits; the tree, the counters
+        and the output order do not depend on them or on timing."""
+        monkeypatch.setattr(search_mod, "TASK_BOXES", 16)
         cfg = SearchConfig(n=3, threads=2)
         m = Masses.equal(3)
-        sols, stats, undec = search(initial_domain(cfg), cfg, m)
-        assert stats.undecided == 0
-        assert stats.calls == run_n3.stats.calls
-        assert stats.usage == run_n3.stats.usage
+        runs = [search(initial_domain(cfg), cfg, m) for _ in range(2)]
+        for sols, stats, undec in runs:
+            assert not undec and stats.undecided == 0
+            assert stats == run_n3.stats
+            assert _keyset(sols) == _keyset(run_n3.solutions)
+        (a, _, _), (b, _, _) = runs
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            for u, v in zip(x.reduced.arrays(), y.reduced.arrays()):
+                assert np.array_equal(u, v)
 
-        def keyset(solutions):
-            return sorted(tuple(np.round(s.reduced.arrays()[0], 12)) for s in solutions)
+    def test_parallel_task_error_raises(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("task failed")
 
-        assert keyset(sols) == keyset(run_n3.solutions)
+        # the pool forks after the patch, so the workers see it
+        monkeypatch.setattr(search_mod.krawczyk, "iterate_batch", boom)
+        cfg = SearchConfig(n=3, threads=2)
+        with pytest.raises(RuntimeError, match="task failed"):
+            search(initial_domain(cfg), cfg, Masses.equal(3))
 
     def test_unequal_masses_refused(self):
         from ccenum.errors import RefusedUnequalMasses
@@ -113,3 +144,7 @@ class TestSearchRuns:
         m = Masses.from_floats([0.5, 0.3, 0.2])
         with pytest.raises(RefusedUnequalMasses):
             search(initial_domain(cfg), cfg, m)
+
+
+def _keyset(solutions):
+    return sorted(tuple(np.round(s.reduced.arrays()[0], 12)) for s in solutions)
