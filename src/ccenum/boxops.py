@@ -40,6 +40,16 @@ def iadd(alo, ahi, blo, bhi):
     return _dn(alo + blo), _up(ahi + bhi)
 
 
+def add_down(a, b):
+    """a + b rounded toward -inf, exact sums kept: `interval._add_down` elementwise."""
+    with np.errstate(invalid="ignore"):
+        s = a + b
+        bb = s - a
+        e = (a - (s - bb)) + (b - bb)
+    out = np.where((e < 0.0) | np.isnan(e), _dn(s), s)
+    return np.where(np.isinf(s), np.where(s < 0.0, s, np.nextafter(s, 0.0)), out)
+
+
 def isub(alo, ahi, blo, bhi):
     return _dn(alo - bhi), _up(ahi - blo)
 

@@ -5,9 +5,11 @@ Execution order matches the search driver: a priori bounds, potential vs
 moment of inertia, cluster tests, body-order (domain normalization) test,
 then the residual zero check with refinement.  The battery is vectorized
 over a batch of boxes (leading axis B) so the driver can amortize array
-overhead across the tree; only the rare near-collision cluster analysis
-falls back to per-box evaluation.  Every test stays collision tolerant
-where documented; a verdict of Excluded is a proof.
+overhead across the tree.  The cluster tests run only on near-collision
+boxes: their epsilon partitions come from a boolean transitive closure
+over all those boxes at once, and the tests run over the flat list of
+(box, proper group) pairs.  Every test stays collision tolerant where
+documented; a verdict of Excluded is a proof.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ class _BatchFrame:
             self._cluster_pairs = (gx, gy, hi_, hj_)
         return self._cluster_pairs
 
-    def slice(self, b: int) -> "_BatchFrame":
+    def take(self, b) -> "_BatchFrame":
+        """The frame of box `b` (an int) or of the sub-batch `b` (an index array)."""
         out = object.__new__(_BatchFrame)
         out.n = self.n
         for name in self.__slots__[1:-1]:
@@ -217,7 +220,8 @@ def check_zero_batch(ctx, fr: _BatchFrame, zlo, zhi):
 
 
 # ---------------------------------------------------------------------------
-# per-box cluster analysis (near-collision boxes only)
+# cluster analysis (near-collision boxes only): per box, and the batch the
+# battery runs
 
 
 def cluster_partition_from_frame(ctx, fr: _BatchFrame, epsilon: float) -> list[frozenset[int]]:
@@ -338,6 +342,91 @@ def cluster_test_excluded_single(ctx, fr: _BatchFrame, max_diam: float) -> bool:
     return False
 
 
+def _closure(ctx, rlo: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """(B, n, n) masks: row i holds the members of body i's eps-cluster."""
+    n = ctx.n
+    link = rlo <= eps[:, None]
+    R = np.zeros((len(rlo), n, n), dtype=bool)
+    R[:, ctx.ii, ctx.jj] = link
+    R[:, ctx.jj, ctx.ii] = link
+    R[:, np.arange(n), np.arange(n)] = True
+    # each squaring doubles the path length covered; n - 1 links suffice
+    for _ in range((n - 2).bit_length()):
+        R = R @ R
+    return R
+
+
+def cluster_groups(ctx, fr: _BatchFrame, max_diam: np.ndarray):
+    """Distinct proper groups of each box's two epsilon partitions.
+
+    Returns (box index (K,), member mask (K, n)) over all the batch's
+    boxes, each group listed once per box.
+    """
+    n = fr.n
+    bits = 1 << np.arange(n)
+    codes = []
+    for eps in (np.zeros_like(max_diam), max_diam):
+        R = _closure(ctx, fr.rlo, eps)
+        size = np.count_nonzero(R, axis=-1)
+        codes.append(np.where((size >= 2) & (size < n), R.astype(np.int64) @ bits, 0))
+    codes = np.sort(np.concatenate(codes, axis=-1), axis=-1)
+    keep = codes > 0
+    keep[:, 1:] &= codes[:, 1:] != codes[:, :-1]
+    box, slot = np.nonzero(keep)
+    return box, (codes[box, slot][:, None] & bits) != 0
+
+
+def cluster_groups_excluded(ctx, fr: _BatchFrame, box: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """`_cluster_zero_excluded` or the proper-group `_cluster_fui_excluded`
+    for each (box, group) row; groups must be proper subsets."""
+    in_i = mask[:, ctx.ii]
+    in_j = mask[:, ctx.jj]
+    intra = in_i & in_j
+    cross = in_i != in_j
+    blocked = np.any(cross & ~fr.pair_ok[box], axis=-1)
+    gx, gy, hi_, hj_ = (tuple(a[box] for a in t) for t in fr.cluster_pair_terms(ctx))
+
+    # zero test: (0,0) in sum_C m_i q_i - sum_cross g, g flipped when j is inside
+    mxlo, mxhi = bxo.imul(ctx.mlo, ctx.mhi, fr.bxlo[box], fr.bxhi[box])
+    mylo, myhi = bxo.imul(ctx.mlo, ctx.mhi, fr.bylo[box], fr.byhi[box])
+    sxlo, sxhi = bxo.isum(mxlo, mxhi, axis=-1, where=mask)
+    sylo, syhi = bxo.isum(mylo, myhi, axis=-1, where=mask)
+    cxlo, cxhi = bxo.isum(
+        np.where(in_i, gx[0], -gx[1]), np.where(in_i, gx[1], -gx[0]), axis=-1, where=cross
+    )
+    cylo, cyhi = bxo.isum(
+        np.where(in_i, gy[0], -gy[1]), np.where(in_i, gy[1], -gy[0]), axis=-1, where=cross
+    )
+    exlo, exhi = bxo.isub(sxlo, sxhi, cxlo, cxhi)
+    eylo, eyhi = bxo.isub(sylo, syhi, cylo, cyhi)
+    zero = ~((exlo <= 0.0) & (0.0 <= exhi) & (eylo <= 0.0) & (0.0 <= eyhi))
+
+    # moment/potential test: sup I_C < inf U_C + inf F_C
+    collided = np.any(intra & (fr.rhi[box] <= 0.0), axis=-1)
+    k = np.count_nonzero(intra, axis=-1)
+    with np.errstate(divide="ignore"):
+        terms_lo = np.nextafter(ctx.mmlo / fr.rhi[box], -np.inf)
+    U_lo = np.nextafter(np.sum(terms_lo, axis=-1, where=intra) * (1.0 - k * _U), -np.inf)
+    U_lo = np.where(k > 0, np.maximum(U_lo, 0.0), 0.0)
+    milo, mihi = bxo.imul(ctx.mlo, ctx.mhi, fr.q2lo[box], fr.q2hi[box])
+    _, I_hi = bxo.isum(milo, mihi, axis=-1, where=mask)
+    F_lo, _ = bxo.isum(
+        np.where(in_i, hi_[0], hj_[0]), np.where(in_i, hi_[1], hj_[1]), axis=-1, where=cross
+    )
+    F_lo = np.where(np.any(cross, axis=-1), F_lo, 0.0)
+    fui = collided | (I_hi < bxo.add_down(U_lo, F_lo))
+    return ~blocked & (zero | fui)
+
+
+def cluster_test_excluded_batch(ctx, fr: _BatchFrame, max_diam: np.ndarray) -> np.ndarray:
+    """`cluster_test_excluded_single` for every box of the frame at once:
+    a box is excluded when any of its proper groups is."""
+    box, mask = cluster_groups(ctx, fr, max_diam)
+    out = np.zeros(len(max_diam), dtype=bool)
+    out[box[cluster_groups_excluded(ctx, fr, box, mask)]] = True
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the battery
 
@@ -368,10 +457,9 @@ def run_battery_batch(ctx, bset: bounds_mod.BoundSet, zlo, zhi, ordering: str):
     if np.any(live):
         fired = _fullset_fui_excluded_batch(ctx, fr)
         max_diam = np.max(zhi - zlo, axis=-1)
-        needs = cluster_candidates_needed(fr, max_diam) & live & ~fired
-        for b in np.nonzero(needs)[0]:
-            if cluster_test_excluded_single(ctx, fr.slice(int(b)), float(max_diam[b])):
-                fired[b] = True
+        idx = np.nonzero(cluster_candidates_needed(fr, max_diam) & live & ~fired)[0]
+        if len(idx):
+            fired[idx] = cluster_test_excluded_batch(ctx, fr.take(idx), max_diam[idx])
         status[fired & live] = 2
 
     live = status == SURVIVED

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import boxops as bxo
 from . import reduced as reduced_mod
@@ -20,7 +19,9 @@ from .errors import CollisionPossible, SingularMidpoint
 from .interval import IntervalVector
 from .model import Masses
 
-PIVOT_RTOL = 1e-12
+# C is rejected when max|C| * max|mid| exceeds this: the midpoint is then
+# numerically singular, and a Krawczyk step with such a C cannot contract
+GROWTH_MAX = 1e12
 
 
 @dataclass(frozen=True)
@@ -31,16 +32,40 @@ class KrawczykOutcome:
     refined: bool = False  # for "failed": whether the box was shrunk at all
 
 
-def midpoint_inverse(Jlo: np.ndarray, Jhi: np.ndarray) -> np.ndarray:
-    """Approximate inverse of the midpoint matrix via LU with partial pivoting."""
+def midpoint_inverse_batch(Jlo: np.ndarray, Jhi: np.ndarray):
+    """Approximate inverses of a stack of midpoint matrices, shape (K, d, d).
+
+    Returns (C, ok).  A row is rejected (ok False, C garbage) when its
+    midpoint is zero or not finite, exactly singular, or so ill-conditioned
+    that C is not finite or exceeds GROWTH_MAX; the other rows are what a
+    per-row `np.linalg.inv` gives.
+    """
     mid = Jlo + 0.5 * (Jhi - Jlo)
-    scale = np.max(np.abs(mid))
-    if not np.isfinite(scale) or scale == 0.0:
-        raise SingularMidpoint("midpoint Jacobian is zero or not finite")
-    lu, piv = sla.lu_factor(mid, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) < PIVOT_RTOL * scale:
-        raise SingularMidpoint("pivot below relative threshold")
-    return sla.lu_solve((lu, piv), np.eye(mid.shape[0]), check_finite=False)
+    scale = np.max(np.abs(mid), axis=(-2, -1), initial=0.0)
+    ok = np.isfinite(scale) & (scale > 0.0)
+    if not ok.all():
+        mid[~ok] = np.eye(mid.shape[-1])
+    try:
+        C = np.linalg.inv(mid)
+    except np.linalg.LinAlgError:
+        # one exactly singular matrix fails the whole stack; redo it row by row
+        C = np.zeros_like(mid)
+        for k in range(len(mid)):
+            try:
+                C[k] = np.linalg.inv(mid[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok &= np.max(np.abs(C), axis=(-2, -1), initial=0.0) * scale <= GROWTH_MAX
+    return C, ok
+
+
+def midpoint_inverse(Jlo: np.ndarray, Jhi: np.ndarray) -> np.ndarray:
+    """Approximate inverse of one midpoint matrix; raises SingularMidpoint."""
+    C, ok = midpoint_inverse_batch(Jlo[None], Jhi[None])
+    if not ok[0]:
+        raise SingularMidpoint("midpoint Jacobian is zero, not finite or numerically singular")
+    return C[0]
 
 
 def operator_arrays(rctx, x0: np.ndarray, zlo: np.ndarray, zhi: np.ndarray, C: np.ndarray, J=None):
@@ -103,20 +128,18 @@ def iterate_batch(rctx, ZLO, ZHI, max_iter: int = 16) -> list[KrawczykOutcome]:
         hi = cur_hi[idx]
         widths = hi - lo
         Jlo, Jhi, ok = reduced_mod.jacobian_masked(rctx, lo, hi)
-        for t, b in enumerate(idx):
-            if not ok[t]:
-                finish_failed(b)
-                active[b] = False
-                continue
-            if not has_c[b] or np.any(widths[t] < 0.5 * c_widths[b]):
-                try:
-                    C[b] = midpoint_inverse(Jlo[t], Jhi[t])
-                except SingularMidpoint:
-                    finish_failed(b)
-                    active[b] = False
-                    continue
-                has_c[b] = True
-                c_widths[b] = widths[t]
+        renew = ok & (~has_c[idx] | np.any(widths < 0.5 * c_widths[idx], axis=-1))
+        rows = idx[renew]
+        failed = idx[~ok]
+        if len(rows):
+            Cnew, good = midpoint_inverse_batch(Jlo[renew], Jhi[renew])
+            C[rows[good]] = Cnew[good]
+            has_c[rows[good]] = True
+            c_widths[rows[good]] = widths[renew][good]
+            failed = np.concatenate([failed, rows[~good]])
+        for b in failed:
+            finish_failed(b)
+            active[b] = False
         live = active[idx]
         if not np.any(live):
             continue

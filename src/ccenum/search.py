@@ -219,6 +219,10 @@ def _subtree_task(args):
     return _search_loop(rctx, bset, cfg, masses, stack, budget)
 
 
+def _box_key(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    return tuple(lo.tolist()) + tuple(hi.tolist())
+
+
 def search(box: ReducedBox, cfg: SearchConfig, masses: Masses):
     """All certified solutions in the box plus run statistics.
 
@@ -226,9 +230,9 @@ def search(box: ReducedBox, cfg: SearchConfig, masses: Masses):
     when no undecided boxes remain.  With `threads > 1` worker processes
     take subtrees of at most `TASK_BOXES` boxes and hand back the stack
     they did not reach, which is split again into new tasks; every box is
-    processed once by the same code, so the counters are the serial run's,
-    and results are merged in task-key order, which depends only on the
-    tree.
+    processed once by the same code, so the counters are the serial run's.
+    Solutions and undecided boxes come back sorted by their bounds, so
+    both paths give the same lists in the same order.
     """
     if not masses.equal_mass:
         raise RefusedUnequalMasses("the normalized search domain assumes equal masses")
@@ -237,32 +241,31 @@ def search(box: ReducedBox, cfg: SearchConfig, masses: Masses):
         rctx = reduced_mod.reduced_ctx(masses)
         bset = bounds_mod.compute_bounds(cfg.n, masses)
         sols, stats, undec, _ = _search_loop(rctx, bset, cfg, masses, root)
-        return sols, stats, undec
+    else:
+        sols, stats, undec = _search_parallel(root, cfg, masses)
+    sols.sort(key=lambda s: _box_key(*s.reduced.arrays()))
+    undec.sort(key=lambda u: _box_key(*u))
+    return sols, stats, undec
+
+
+def _search_parallel(root, cfg: SearchConfig, masses: Masses):
     workers = min(cfg.threads, max(1, os.cpu_count() or 1))
     stats = SearchStats()
-    parts = {}  # task key -> (solutions, undecided boxes)
-    queue = [((), root)]
-    running = {}
+    sols, undec = [], []
+    queue = [root]
+    running = set()
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         while queue or running:
             while queue and len(running) < 2 * workers:
-                key, stack = queue.pop()
-                task = (cfg, masses, stack, TASK_BOXES)
-                running[pool.submit(_subtree_task, task)] = key
-            finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                running.add(pool.submit(_subtree_task, (cfg, masses, queue.pop(), TASK_BOXES)))
+            finished, running = wait(running, return_when=FIRST_COMPLETED)
             for fut in finished:
-                key = running.pop(fut)
-                sols, sub_stats, undec, rest = fut.result()
+                part, sub_stats, part_undec, rest = fut.result()
                 stats.merge(sub_stats)
-                parts[key] = (sols, undec)
-                for k in range(min(workers, len(rest))):
-                    queue.append((key + (k,), rest[k::workers]))
+                sols += part
+                undec += part_undec
+                queue += [rest[k::workers] for k in range(min(workers, len(rest)))]
     finally:
         pool.shutdown(cancel_futures=True)
-    keys = sorted(parts)
-    return (
-        [s for key in keys for s in parts[key][0]],
-        stats,
-        [u for key in keys for u in parts[key][1]],
-    )
+    return sols, stats, undec

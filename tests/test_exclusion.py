@@ -5,7 +5,7 @@ configuration)."""
 import numpy as np
 import pytest
 
-from ccenum import exclusion
+from ccenum import exclusion, model
 from ccenum import reduced as reduced_mod
 from ccenum.bounds import compute_bounds
 from ccenum.errors import RefusedUnequalMasses
@@ -254,3 +254,108 @@ class TestSoundness:
                 ctx.m, bset, z[None, :] - 1e-6, z[None, :] + 1e-6, run_n3.cfg.ordering
             )
             assert status[0] == exclusion.SURVIVED
+
+
+def _frame(n, boxes):
+    """One batch frame over boxes given as (free-body centers, half-width)."""
+    ctx = model.nbody_ctx(Masses.equal(n))
+    pts = np.array([c for c, _ in boxes], dtype=float)  # (B, n-1, 2)
+    w = np.array([w for _, w in boxes], dtype=float)[:, None]
+    x, y = pts[..., 0], pts[..., 1]
+    return ctx, exclusion._BatchFrame(ctx, x - w, x + w, y - w, y + w), 2 * w[:, 0]
+
+
+def _groups_of(box_idx, masks, b):
+    return sorted(tuple(np.nonzero(m)[0]) for m in masks[box_idx == b])
+
+
+def _single(ctx, fr, max_diam):
+    return [
+        exclusion.cluster_test_excluded_single(ctx, fr.take(b), float(max_diam[b]))
+        for b in range(len(max_diam))
+    ]
+
+
+class TestClusterBatch:
+    """The batched cluster tests against the per-box reference."""
+
+    # n = 4, three free bodies; the derived fourth body is minus their sum
+    PAIR = ([(0.5, 0.0), (0.5, 0.0), (-0.5, 0.8)], 0.01)  # {0, 1} at both epsilons
+    GROWING = ([(0.5, 0.0), (0.5, 0.0), (0.53, 0.0)], 0.01)  # {0, 1}, then {0, 1, 2}
+    SEPARATE = ([(-1.0, 0.5), (0.0, -0.7), (0.9, 0.0)], 1e-3)  # singletons only
+    HUDDLE = ([(0.01, 0.0), (-0.01, 0.0), (0.0, 0.01)], 0.02)  # the whole set at once
+
+    def test_hand_made_groups(self):
+        ctx, fr, md = _frame(4, [self.PAIR, self.GROWING, self.SEPARATE, self.HUDDLE])
+        box, masks = exclusion.cluster_groups(ctx, fr, md)
+        assert _groups_of(box, masks, 0) == [(0, 1)]  # listed once, not per epsilon
+        assert _groups_of(box, masks, 1) == [(0, 1), (0, 1, 2)]
+        assert _groups_of(box, masks, 2) == []
+        assert _groups_of(box, masks, 3) == []  # needs the test, has no proper group
+        assert exclusion.cluster_candidates_needed(fr, md).tolist() == [True, True, False, True]
+        out = exclusion.cluster_test_excluded_batch(ctx, fr, md)
+        assert out.tolist() == _single(ctx, fr, md)
+        assert not out[2] and not out[3]
+
+    def test_exact_collision_inside_excludes(self):
+        ctx, fr, md = _frame(4, [self.PAIR])
+        p01 = 0  # pairs are ordered (0, 1), (0, 2), ...
+        assert (ctx.ii[p01], ctx.jj[p01]) == (0, 1)
+        fr.rlo[0, p01] = fr.rhi[0, p01] = fr.r2lo[0, p01] = fr.r2hi[0, p01] = 0.0
+        group = np.array([[True, True, False, False]])
+        assert exclusion.cluster_groups_excluded(ctx, fr, np.array([0]), group).tolist() == [True]
+        assert exclusion._cluster_fui_excluded(ctx, fr.take(0), frozenset({0, 1}))
+        assert exclusion.cluster_test_excluded_batch(ctx, fr, md).tolist() == [True]
+        assert _single(ctx, fr, md) == [True]
+
+    def test_colliding_cross_pair_blocks(self):
+        # bodies 0 and 1 overlap, so the group {0, 2} has a colliding cross pair
+        ctx, fr, _ = _frame(4, [self.PAIR])
+        assert not fr.pair_ok[0, 0]
+        group = np.array([[True, False, True, False]])
+        assert exclusion.cluster_groups_excluded(ctx, fr, np.array([0]), group).tolist() == [False]
+        single = fr.take(0)
+        assert not exclusion._cluster_zero_excluded(ctx, single, frozenset({0, 2}))
+        assert not exclusion._cluster_fui_excluded(ctx, single, frozenset({0, 2}))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_proper_subset_matches_single(self, n):
+        """Each (box, group) verdict equals the per-group reference tests,
+        colliding and blocked groups included."""
+        rng = np.random.default_rng(n)
+        B = 60
+        centers = rng.uniform(-1.0, 1.0, (B, n - 1, 2))
+        centers[: B // 2, 1] = centers[: B // 2, 0] + rng.normal(0.0, 0.01, (B // 2, 2))
+        boxes = [(c, w) for c, w in zip(centers, 10 ** rng.uniform(-4, -1, B))]
+        ctx, fr, _ = _frame(n, boxes)
+        subsets = [s for s in range(1, 2**n - 1) if 2 <= bin(s).count("1") < n]
+        box = np.repeat(np.arange(B), len(subsets))
+        masks = (np.tile(subsets, B)[:, None] & (1 << np.arange(n))) != 0
+        got = exclusion.cluster_groups_excluded(ctx, fr, box, masks)
+        for t, (b, m) in enumerate(zip(box, masks)):
+            members = frozenset(np.nonzero(m)[0].tolist())
+            single = fr.take(int(b))
+            want = exclusion._cluster_zero_excluded(
+                ctx, single, members
+            ) or exclusion._cluster_fui_excluded(ctx, single, members)
+            assert got[t] == want, (n, b, members)
+        assert 0 < np.count_nonzero(got) < len(got)
+
+    def test_matches_single_on_n4_search(self, run_n4, monkeypatch):
+        """Every box of the n = 4 search that needs the cluster tests gets
+        the per-box verdict, and the tree stays the fixture's."""
+        batch = exclusion.cluster_test_excluded_batch
+        seen = []
+
+        def spy(ctx, fr, max_diam):
+            out = batch(ctx, fr, max_diam)
+            assert out.tolist() == _single(ctx, fr, max_diam)
+            seen.append(int(np.count_nonzero(out)))
+            return out
+
+        monkeypatch.setattr(exclusion, "cluster_test_excluded_batch", spy)
+        from ccenum.search import search
+
+        _, stats, _ = search(run_n4.domain, run_n4.cfg, run_n4.masses)
+        assert stats == run_n4.stats
+        assert 0 < sum(seen) <= stats.usage["clusterTest"]

@@ -6,6 +6,7 @@ import pytest
 
 from ccenum import krawczyk
 from ccenum import reduced as reduced_mod
+from ccenum.errors import SingularMidpoint
 from ccenum.interval import Interval, IntervalVector
 from ccenum.model import Masses
 from ccenum.reduced import ReducedBox
@@ -151,3 +152,45 @@ class TestContract:
         lo, hi = krawczyk.contract(rctx, out.lo, out.hi)
         assert np.max(hi - lo) < 1e-12
         assert np.all(lo <= z) and np.all(z <= hi)
+
+
+class TestBatchedInverse:
+    """The batched preconditioner rejects bad rows one by one and gives
+    the others exactly what a per-row inverse gives."""
+
+    def _stack(self):
+        rng = np.random.default_rng(11)
+        d = 5
+        regular = rng.normal(size=(4, d, d)) + 3.0 * np.eye(d)
+        singular = np.eye(d)
+        singular[1] = 2.0 * singular[0]  # two equal rows up to scale: no inverse
+        near = np.eye(d)
+        near[1, 0], near[1, 1] = 1.0, 1e-15  # numerically singular, not exactly
+        nan = regular[0].copy()
+        nan[2, 3] = np.nan
+        bad = {"singular": singular, "zero": np.zeros((d, d)), "nan": nan, "near": near}
+        mids = [regular[0], singular, regular[1], bad["zero"], regular[2], nan, near, regular[3]]
+        good = [True, False, True, False, True, False, False, True]
+        return np.array(mids), np.array(good), bad
+
+    def test_only_bad_rows_rejected(self):
+        mids, good, _ = self._stack()
+        rad = np.where(np.isfinite(mids), 1e-9, 0.0)
+        Jlo, Jhi = mids - rad, mids + rad
+        C, ok = krawczyk.midpoint_inverse_batch(Jlo, Jhi)
+        assert ok.tolist() == good.tolist()
+        for k in np.nonzero(good)[0]:
+            mid = Jlo[k] + 0.5 * (Jhi[k] - Jlo[k])
+            assert np.array_equal(C[k], np.linalg.inv(mid))
+
+    def test_single_box_raises_for_each_bad_case(self):
+        _, _, bad = self._stack()
+        for mid in bad.values():
+            with pytest.raises(SingularMidpoint):
+                krawczyk.midpoint_inverse(mid, mid.copy())
+        eye = np.eye(3)
+        assert np.array_equal(krawczyk.midpoint_inverse(eye, eye), eye)
+
+    def test_empty_batch(self):
+        C, ok = krawczyk.midpoint_inverse_batch(np.zeros((0, 3, 3)), np.zeros((0, 3, 3)))
+        assert C.shape == (0, 3, 3) and ok.shape == (0,)

@@ -127,6 +127,25 @@ class TestSearchRuns:
             for u, v in zip(x.reduced.arrays(), y.reduced.arrays()):
                 assert np.array_equal(u, v)
 
+    def test_parallel_report_matches_serial(self, run_n4, monkeypatch):
+        """Solutions come back sorted by box, so the two-worker n = 4 report
+        (classes, representatives and counters) is the serial one."""
+        from ccenum.classify import classify_solutions
+        from ccenum.report import render_search_report
+
+        monkeypatch.setattr(search_mod, "TASK_BOXES", 512)
+        cfg = SearchConfig(n=4, threads=2)
+        sols, stats, undec = search(run_n4.domain, cfg, run_n4.masses)
+        assert not undec and stats == run_n4.stats
+        reports = [
+            render_search_report(c, run_n4.masses, run_n4.domain, st, recs, minutes=0.0)
+            for c, st, recs in (
+                (run_n4.cfg, run_n4.stats, run_n4.records),
+                (cfg, stats, classify_solutions(sols, run_n4.masses)),
+            )
+        ]
+        assert reports[0] == reports[1]
+
     def test_parallel_task_error_raises(self, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("task failed")
