@@ -15,6 +15,7 @@ down, upper bounds up).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,8 +60,15 @@ class BoundSet:
 
 
 def compute_bounds(n: int, masses: Masses) -> BoundSet:
+    """The bound set of the problem; one shared, read-only object per (n, masses)."""
     if masses.n != n:
         raise ValueError("mass count does not match n")
+    return _bounds_cached(n, masses.key())
+
+
+@lru_cache(maxsize=32)
+def _bounds_cached(n: int, mass_key) -> BoundSet:
+    masses = Masses([Interval(lo, hi) for lo, hi in mass_key])
     M = masses.total
     # R_max: n-1 for n <= 4, else min(n-1, (2^(1/3)+2^(-2/3))(n-2)^(2/3))
     if n <= 4:
@@ -84,9 +92,10 @@ def compute_bounds(n: int, masses: Masses) -> BoundSet:
     R_min_sq = Interval(R_min).sqr().lo
 
     ctx = model.nbody_ctx(masses)
-    mm_over_M = bxo.idiv_pos(
+    mm_over_M_lo, _ = bxo.idiv_pos(
         ctx.mmlo, ctx.mmhi, np.full(ctx.P, M.lo), np.full(ctx.P, M.hi)
     )
+    mm_over_M_lo.flags.writeable = False
     return BoundSet(
         n=n,
         R_max=R_max,
@@ -94,7 +103,7 @@ def compute_bounds(n: int, masses: Masses) -> BoundSet:
         R_min=R_min,
         R_min_sq=R_min_sq,
         dist_one=1.0,
-        mm_over_M_lo=mm_over_M[0],
+        mm_over_M_lo=mm_over_M_lo,
         R_max_interval=R_max_iv,
     )
 

@@ -247,6 +247,10 @@ def pair_r2_arrays(dxlo, dxhi, dylo, dyhi):
     return bxo.iadd(*x2, *y2)
 
 
+# the pair kernels dx/r^3 and dy/r^3 of the acceleration
+ACCEL_KINDS = ((1, 3, "X"), (1, 3, "Y"))
+
+
 def accel_arrays(ctx: _Ctx, dxlo, dxhi, dylo, dyhi, pair_mask=None):
     """Enclosures of sum_j (m_j/r^3)(q_i - q_j) for every body i, (..., n).
 
@@ -262,17 +266,9 @@ def accel_arrays(ctx: _Ctx, dxlo, dxhi, dylo, dyhi, pair_mask=None):
     kyhi = np.zeros(dxlo.shape)
     sel = pair_mask
     if np.any(sel):
-        k = int(np.count_nonzero(sel))
-        lo, hi = kernels.bound_kernel_batch(
-            np.concatenate([dxlo[sel], dylo[sel]]),
-            np.concatenate([dxhi[sel], dyhi[sel]]),
-            np.concatenate([dylo[sel], dxlo[sel]]),
-            np.concatenate([dyhi[sel], dxhi[sel]]),
-            1,
-            3,
+        (kxlo[sel], kylo[sel]), (kxhi[sel], kyhi[sel]) = kernels.bound_pair_kernels(
+            dxlo[sel], dxhi[sel], dylo[sel], dyhi[sel], ACCEL_KINDS
         )
-        kxlo[sel], kxhi[sel] = lo[:k], hi[:k]
-        kylo[sel], kyhi[sel] = lo[k:], hi[k:]
     # accel_i = sum_p c[i,p] * k_p, the coefficients carry the masses and signs
     txlo, txhi = bxo.imul(ctx.acc_clo, ctx.acc_chi, kxlo[..., None, :], kxhi[..., None, :])
     tylo, tyhi = bxo.imul(ctx.acc_clo, ctx.acc_chi, kylo[..., None, :], kyhi[..., None, :])

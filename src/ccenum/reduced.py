@@ -76,6 +76,10 @@ class ReducedBox:
 # vectorized core
 
 
+# per-pair kernels of the Jacobian: x^2/r^5, y^2/r^5, x/r^3, y/r^2 and 1/r^3
+JAC_KINDS = ((2, 5, "X"), (2, 5, "Y"), (1, 3, "X"), (1, 2, "Y"), (0, 3, "X"))
+
+
 class _RCtx:
     def __init__(self, mctx: model._Ctx):
         n = mctx.n
@@ -110,25 +114,15 @@ class _RCtx:
         axis.append(0)
         self.lay_body = np.array(body)
         self.lay_axis = np.array(axis)
-        # merged kernel batch layout for the jacobian: (2,5)x, (2,5)y, (1,3)x, (1,2)y
+        # the Jacobian kernels as one stacked per-row batch, (2,5)x, (2,5)y,
+        # (1,3)x, (1,2)y: the layout tests feed to `kernels.bound_kernel_batch`
         P = mctx.P
-        self.a_codes = np.concatenate(
-            [np.full(P, 2), np.full(P, 2), np.full(P, 1), np.full(P, 1)]
-        )
-        self.b_codes = np.concatenate(
-            [np.full(P, 5), np.full(P, 5), np.full(P, 3), np.full(P, 2)]
-        )
-        from . import kernels as _k
-
-        s25 = _k._slope(2, 5)
-        s13 = _k._slope(1, 3)
-        s12 = _k._slope(1, 2)
-        self.slope_lo = np.concatenate(
-            [np.full(P, s25.lo), np.full(P, s25.lo), np.full(P, s13.lo), np.full(P, s12.lo)]
-        )
-        self.slope_hi = np.concatenate(
-            [np.full(P, s25.hi), np.full(P, s25.hi), np.full(P, s13.hi), np.full(P, s12.hi)]
-        )
+        a, b, _ = zip(*JAC_KINDS[:4])
+        slopes = [kernels._slope(ai, bi) for ai, bi in zip(a, b)]
+        self.a_codes = np.repeat(a, P)
+        self.b_codes = np.repeat(b, P)
+        self.slope_lo = np.repeat([s.lo for s in slopes], P)
+        self.slope_hi = np.repeat([s.hi for s in slopes], P)
 
 
 @lru_cache(maxsize=32)
@@ -209,29 +203,12 @@ def jacobian_masked(rctx: _RCtx, zlo, zhi):
         dxlo, dxhi, dylo, dyhi = dxlo[idx], dxhi[idx], dylo[idx], dyhi[idx]
     k = len(idx)
 
-    # per-pair second-derivative kernels: rows are (2,5)x, (2,5)y, (1,3)x, (1,2)y
-    P = mctx.P
-    qx_lo = np.concatenate([dxlo, dylo, dxlo, dylo], axis=-1).reshape(-1)
-    qx_hi = np.concatenate([dxhi, dyhi, dxhi, dyhi], axis=-1).reshape(-1)
-    qy_lo = np.concatenate([dylo, dxlo, dylo, dxlo], axis=-1).reshape(-1)
-    qy_hi = np.concatenate([dyhi, dxhi, dyhi, dxhi], axis=-1).reshape(-1)
-    klo, khi = kernels.bound_kernel_batch(
-        qx_lo,
-        qx_hi,
-        qy_lo,
-        qy_hi,
-        np.tile(rctx.a_codes, k),
-        np.tile(rctx.b_codes, k),
-        np.tile(rctx.slope_lo, k),
-        np.tile(rctx.slope_hi, k),
+    klo, khi = kernels.bound_pair_kernels(
+        dxlo.reshape(-1), dxhi.reshape(-1), dylo.reshape(-1), dyhi.reshape(-1), JAC_KINDS
     )
-    klo = klo.reshape(k, 4 * P)
-    khi = khi.reshape(k, 4 * P)
-    x25 = (klo[:, :P], khi[:, :P])
-    y25 = (klo[:, P : 2 * P], khi[:, P : 2 * P])
-    x13 = (klo[:, 2 * P : 3 * P], khi[:, 2 * P : 3 * P])
-    y12 = (klo[:, 3 * P :], khi[:, 3 * P :])
-    ir3 = kernels.inv_r_pow_batch(dxlo, dxhi, dylo, dyhi, 3)
+    klo = klo.reshape(len(JAC_KINDS), k, mctx.P)
+    khi = khi.reshape(len(JAC_KINDS), k, mctx.P)
+    x25, y25, x13, y12, ir3 = zip(klo, khi)
 
     A = bxo.isub(*bxo.iscale(*x25, 3.0), *ir3)
     Bk = bxo.isub(*bxo.iscale(*y25, 3.0), *ir3)

@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 
 from ccenum.bounds import check_apriori, compute_bounds, icbrt
 from ccenum.interval import Interval, _next_up
@@ -43,6 +44,16 @@ class TestComputeBounds:
         for n, rmin in observed.items():
             b = compute_bounds(n, Masses.equal(n))
             assert b.R_min <= rmin + 1e-6
+
+    def test_cached_per_problem(self):
+        b = compute_bounds(5, Masses.equal(5))
+        assert compute_bounds(5, Masses.equal(5)) is b
+        other = compute_bounds(5, Masses.from_floats([0.2, 0.2, 0.2, 0.2, 0.25]))
+        assert other is not b and not other.mm_over_M_lo.tolist() == b.mm_over_M_lo.tolist()
+        with pytest.raises(ValueError):
+            b.mm_over_M_lo[0] = 0.0
+        with pytest.raises(ValueError):
+            compute_bounds(4, Masses.equal(5))
 
     def test_directional_rounding(self):
         b = compute_bounds(7, Masses.equal(7))

@@ -1,6 +1,7 @@
 """Kernel range bounds: worked examples, the dense-grid oracle, the
 tightness guarantees against the naive evaluation, the dense 24-slot
-reference for the compacted evaluation, and an mpmath containment oracle."""
+reference for the compacted evaluation, an mpmath containment oracle, and
+the shared pair path against one call per kernel."""
 
 import warnings
 
@@ -9,11 +10,20 @@ import numpy as np
 import pytest
 
 from ccenum import boxops as bx
+from ccenum import kernels
 from ccenum.errors import DomainError
 from ccenum.interval import Interval
-from ccenum.kernels import KernelQuery, SingularBox, _slope, bound_kernel, bound_kernel_batch
-from ccenum.model import Masses
-from ccenum.reduced import reduced_ctx
+from ccenum.kernels import (
+    KernelQuery,
+    SingularBox,
+    _r_pow,
+    _slope,
+    bound_kernel,
+    bound_kernel_batch,
+    bound_pair_kernels,
+)
+from ccenum.model import ACCEL_KINDS, Masses, pair_disp_arrays
+from ccenum.reduced import JAC_KINDS, box_to_free_arrays, reduced_ctx
 from oracles import kernel_grid_range
 
 
@@ -340,3 +350,134 @@ class TestMpmathOracle:
                         assert lo[0] <= v.a and v.b <= hi[0], (a, b, xlo, xhi, ylo, yhi, x, y)
         finally:
             mpmath.iv.dps = saved
+
+
+# ---------------------------------------------------------------------------
+# the shared pair path against one bound_kernel_batch call per kernel
+
+
+def _per_kernel(xlo, xhi, ylo, yhi, a, b, axis):
+    """The reference for one kind: bound_kernel_batch, or 1/r^b for a = 0."""
+    if axis == "Y":
+        xlo, xhi, ylo, yhi = ylo, yhi, xlo, xhi
+    if a > 0:
+        return bound_kernel_batch(xlo, xhi, ylo, yhi, a, b)
+    r2 = bx.iadd(*bx.isqr(xlo, xhi), *bx.isqr(ylo, yhi))
+    return bx.irecip_pos(*_r_pow(*r2, b))
+
+
+def _check_pair(boxes, kinds):
+    # huge sides give inf/inf = NaN on both paths
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lo, hi = bound_pair_kernels(*boxes, kinds)
+        assert lo.shape == hi.shape == (len(kinds), len(boxes[0]))
+        for k, kind in enumerate(kinds):
+            rlo, rhi = _per_kernel(*boxes, *kind)
+            assert np.array_equal(lo[k], rlo, equal_nan=True), kind
+            assert np.array_equal(hi[k], rhi, equal_nan=True), kind
+
+
+def _nudged(v, ulps):
+    for _ in range(abs(ulps)):
+        v = np.nextafter(v, np.inf if ulps > 0 else 0.0)
+    return v
+
+
+def _critical_rows():
+    """Boxes with a critical line y = +-m x, m in {s, 1/s}, through a corner or
+    up to 3 ulps either side of it, in all four quadrants, for all three
+    slopes.  Random corners make some of the near misses round onto the box."""
+    rng = np.random.default_rng(77)
+    rows = []
+    for a, b in ((1, 3), (1, 2), (2, 5)):
+        s = float(np.sqrt((b - a) / a))
+        for m in (s, 1.0 / s):
+            for x0 in rng.uniform(0.5, 4.0, 60):
+                y0 = m * x0
+                for y in (_nudged(y0, k) for k in range(-3, 4)):
+                    # the line leaves through the lower-right or the upper-left corner
+                    rows += [(x0 / 2, x0, y, 2 * y), (x0, 2 * x0, y / 2, y)]
+                # a zero-width side on the line
+                rows += [(x0, x0, y0, 2 * y0), (x0 / 2, x0, y0, y0)]
+    xlo, xhi, ylo, yhi = (np.array(col) for col in zip(*rows))
+    quadrants = [(xlo, xhi), (-xhi, -xlo)], [(ylo, yhi), (-yhi, -ylo)]
+    out = [(*x, *y) for x in quadrants[0] for y in quadrants[1]]
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
+def _edge_case_rows():
+    """+-0.0 edges, zero-width sides and subnormal or huge magnitudes."""
+    rows = [
+        (0.0, 1.0, 1.0, 2.0),
+        (-0.0, 1.0, 1.0, 2.0),
+        (-1.0, -0.0, 1.0, 2.0),
+        (-1.0, 0.0, -2.0, -1.0),
+        (1.0, 2.0, -0.0, 0.5),
+        (1.0, 2.0, -0.5, -0.0),
+        (-0.0, -0.0, 1.0, 2.0),
+        (1.0, 2.0, 0.0, 0.0),
+        (1.5, 1.5, 0.25, 3.0),
+        (0.25, 3.0, 1.5, 1.5),
+        (1.5, 1.5, 0.25, 0.25),
+        (1e-310, 2e-310, 0.5, 3.0),
+        (1e-310, 1.0, 1.0, 2.0),
+        (1.0, 2.0, -3e-310, -1e-310),
+        (1e-151, 1e-150, 1e-151, 1e-150),
+        (1e200, 2e200, 1e200, 3e200),
+        (1.0, 1e200, 1.0, 2.0),
+        (-2e200, -1e200, 1.0, 1.0),
+        (1e-310, 1e-310, 1e200, 1e200),
+    ]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+class TestPairKernelsMatchPerKernel:
+    @pytest.mark.parametrize("kinds", [ACCEL_KINDS, JAC_KINDS], ids=["accel", "jacobian"])
+    def test_random_boxes(self, kinds):
+        rng = np.random.default_rng(4242)
+        boxes = _random_boxes(rng, 24000)
+        plain = kernels._plain_rows(*boxes, tuple(k for k in kinds if k[0]))
+        assert 0.2 < plain.mean() < 0.8  # both paths are exercised
+        _check_pair(boxes, kinds)
+        for i in range(0, 40):  # single rows, where bound_kernel_batch may short-circuit
+            _check_pair(tuple(c[i : i + 1] for c in boxes), kinds)
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [ACCEL_KINDS, JAC_KINDS, ((1, 2, "X"), (1, 2, "Y"))],
+        ids=["accel", "jacobian", "12"],
+    )
+    def test_hand_made_rows(self, kinds):
+        _check_pair(_critical_rows(), kinds)
+        boxes = _edge_case_rows()
+        _check_pair(boxes, kinds)
+        for i in range(len(boxes[0])):
+            _check_pair(tuple(c[i : i + 1] for c in boxes), kinds)
+
+    def test_reduced_jacobian_layout_n5(self):
+        rctx = reduced_ctx(Masses.equal(5))
+        rng = np.random.default_rng(55)
+        z = rng.uniform(-1.3, 1.3, (3000, rctx.d))
+        w = 10.0 ** rng.uniform(-12, -1, (3000, 1))
+        xlo, xhi, ylo, yhi = box_to_free_arrays(z - w, z + w, 5)
+        d = [c.reshape(-1) for c in pair_disp_arrays(rctx.m, xlo, xhi, ylo, yhi)]
+        ok = bx.iadd(*bx.isqr(d[0], d[1]), *bx.isqr(d[2], d[3]))[0] > 0.0
+        _check_pair(tuple(c[ok] for c in d), JAC_KINDS)
+
+    @pytest.mark.parametrize("kinds", [ACCEL_KINDS, JAC_KINDS], ids=["accel", "jacobian"])
+    def test_singular_box_raises_before_any_float_warning(self, kinds):
+        xlo = np.array([1.0, 0.0, -1.0])
+        xhi = np.array([2.0, 1.0, 1.0])
+        ylo = np.array([1.0, 0.0, 0.0])
+        yhi = np.array([2.0, 1.0, 0.0])
+        for rows in (slice(1, 2), slice(0, 2), slice(2, 3), slice(0, 3)):
+            with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+                warnings.simplefilter("error")
+                with pytest.raises(SingularBox):
+                    bound_pair_kernels(xlo[rows], xhi[rows], ylo[rows], yhi[rows], kinds)
+        # r^2 underflows to 0 on a subnormal box: singular on both paths
+        tiny = (np.array([1e-310]), np.array([2e-310]), np.array([1e-310]), np.array([3e-310]))
+        with pytest.raises(SingularBox):
+            bound_pair_kernels(*tiny, kinds)
+        with pytest.raises(SingularBox):
+            bound_kernel_batch(*tiny, 1, 3)

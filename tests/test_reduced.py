@@ -1,6 +1,7 @@
 """Reduced system: residual and Jacobian enclosures against independent
 finite-difference oracles, gauge validity, and box conversions."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -183,3 +184,83 @@ class TestGaugeAndConversions:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             ReducedBox(IntervalVector([Interval(0), Interval(0)]))
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: the residual and the Jacobian written out here and
+# evaluated in mpmath interval arithmetic at 50 digits
+
+
+def _mp_residual_and_jacobian(z, n):
+    """Exact-point enclosures of the reduced residual (d,) and Jacobian (d, d)
+    for equal masses 1/n, from F_i = q_i - sum_j m_j (q_i - q_j) / r_ij^3."""
+    iv = mpmath.iv
+    L = n - 1
+    m = iv.mpf(1) / n
+    q = [[iv.mpf(z[2 * i]), iv.mpf(z[2 * i + 1])] for i in range(n - 2)]
+    q.append([iv.mpf(z[-1]), iv.mpf(0)])
+    q.append([-sum(p[0] for p in q), -sum(p[1] for p in q)])  # centre of mass at 0
+    F = []
+    G = {}  # d(d_ij / r^3) / d(d_ij) = I / r^3 - 3 d d^T / r^5
+    for i in range(n):
+        acc = [iv.mpf(0), iv.mpf(0)]
+        for j in range(n):
+            if i == j:
+                continue
+            d = [q[i][0] - q[j][0], q[i][1] - q[j][1]]
+            r2 = d[0] ** 2 + d[1] ** 2
+            r3 = r2 * iv.sqrt(r2)
+            r5 = r3 * r2
+            acc = [acc[0] + m * d[0] / r3, acc[1] + m * d[1] / r3]
+            G[i, j] = [[(u == v) / r3 - 3 * d[u] * d[v] / r5 for v in (0, 1)] for u in (0, 1)]
+        F.append([q[i][0] - acc[0], q[i][1] - acc[1]])
+    # dq_L/dq_k = -(m_k/m_L) I, so d(d_ij)/dq_k = (delta_ik - delta_jk + delta_jL) I for i < L
+    layout = [(i, ax) for i in range(n - 2) for ax in (0, 1)] + [(n - 2, 0)]
+    res = [F[i][ax] for i, ax in layout]
+    jac = []
+    for i, u in layout:
+        row = []
+        for k, v in layout:
+            e = iv.mpf(int(i == k and u == v))
+            for j in range(n):
+                if j != i:
+                    c = int(i == k) - int(j == k) + int(j == L)
+                    if c:
+                        e -= c * m * G[i, j][u][v]
+            row.append(e)
+        jac.append(row)
+    return res, jac
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_enclosures_contain_exact_values(self, n):
+        rng = np.random.default_rng(900 + n)
+        rctx = reduced_mod.reduced_ctx(Masses.equal(n))
+        d = rctx.d
+        saved = mpmath.iv.dps
+        mpmath.iv.dps = 50
+        try:
+            boxes = 0
+            while boxes < 6:
+                z = rng.uniform(-1.3, 1.3, d)
+                if not _well_separated(z, n):
+                    continue
+                w = 10.0 ** rng.uniform(-12, -2, d)
+                zlo, zhi = z - w, z + w
+                Flo, Fhi, ok = reduced_mod.residual_masked(rctx, zlo[None], zhi[None])
+                Jlo, Jhi, okj = reduced_mod.jacobian_masked(rctx, zlo[None], zhi[None])
+                assert ok[0] and okj[0]
+                boxes += 1
+                corners = np.where(rng.random((6, d)) < 0.5, zlo, zhi)
+                inside = zlo + rng.random((4, d)) * (zhi - zlo)
+                for p in np.concatenate([corners, inside, [z]]):
+                    p = np.clip(p, zlo, zhi)
+                    res, jac = _mp_residual_and_jacobian(p.tolist(), n)
+                    for r in range(d):
+                        assert Flo[0, r] <= res[r].a and res[r].b <= Fhi[0, r], (n, r, p)
+                        for c in range(d):
+                            v = jac[r][c]
+                            assert Jlo[0, r, c] <= v.a and v.b <= Jhi[0, r, c], (n, r, c, p)
+        finally:
+            mpmath.iv.dps = saved
