@@ -102,12 +102,20 @@ def iscale(alo, ahi, c: float):
     return _dn(ahi * c), _up(alo * c)
 
 
-def isum(alo, ahi, axis=None, where=True):
-    """Enclosure of the sum along an axis, padded for float summation error."""
+def isum(alo, ahi, axis=None, where=None):
+    """Enclosure of the sum along an axis, padded for float summation error.
+
+    Terms masked out by `where` are replaced by exact zeros rather than
+    passed to `np.sum(where=)`, whose result for one row can change in the
+    last bit with the number of rows in the call; adding 0.0 is exact.
+    """
     k = alo.shape[axis] if axis is not None else alo.size
-    slo = np.sum(alo, axis=axis, where=where)
-    shi = np.sum(ahi, axis=axis, where=where)
-    mag = np.sum(np.maximum(np.abs(alo), np.abs(ahi)), axis=axis, where=where)
+    if where is not None:
+        alo = np.where(where, alo, 0.0)
+        ahi = np.where(where, ahi, 0.0)
+    slo = np.sum(alo, axis=axis)
+    shi = np.sum(ahi, axis=axis)
+    mag = np.sum(np.maximum(np.abs(alo), np.abs(ahi)), axis=axis)
     pad = (k * _U) * mag * _BUF + _TINY
     return _dn(slo - pad), _up(shi + pad)
 

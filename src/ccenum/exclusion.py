@@ -406,7 +406,8 @@ def cluster_groups_excluded(ctx, fr: _BatchFrame, box: np.ndarray, mask: np.ndar
     k = np.count_nonzero(intra, axis=-1)
     with np.errstate(divide="ignore"):
         terms_lo = np.nextafter(ctx.mmlo / fr.rhi[box], -np.inf)
-    U_lo = np.nextafter(np.sum(terms_lo, axis=-1, where=intra) * (1.0 - k * _U), -np.inf)
+    terms_lo = np.where(intra, terms_lo, 0.0)  # zero-filled, as in boxops.isum
+    U_lo = np.nextafter(np.sum(terms_lo, axis=-1) * (1.0 - k * _U), -np.inf)
     U_lo = np.where(k > 0, np.maximum(U_lo, 0.0), 0.0)
     milo, mihi = bxo.imul(ctx.mlo, ctx.mhi, fr.q2lo[box], fr.q2hi[box])
     _, I_hi = bxo.isum(milo, mihi, axis=-1, where=mask)
@@ -472,10 +473,7 @@ def run_battery_batch(ctx, bset: bounds_mod.BoundSet, zlo, zhi, ordering: str):
     live = status == SURVIVED
     if np.any(live):
         idx = np.nonzero(live)[0]
-        if np.all(live):
-            sub = fr
-        else:
-            sub = _BatchFrame(ctx, *reduced_mod.box_to_free_arrays(zlo[idx], zhi[idx], ctx.n))
+        sub = fr if len(idx) == B else fr.take(idx)
         excluded, new_lo, new_hi, changed = check_zero_batch(ctx, sub, zlo[idx], zhi[idx])
         status[idx[excluded]] = 4
         keep = ~excluded

@@ -114,15 +114,6 @@ class _RCtx:
         axis.append(0)
         self.lay_body = np.array(body)
         self.lay_axis = np.array(axis)
-        # the Jacobian kernels as one stacked per-row batch, (2,5)x, (2,5)y,
-        # (1,3)x, (1,2)y: the layout tests feed to `kernels.bound_kernel_batch`
-        P = mctx.P
-        a, b, _ = zip(*JAC_KINDS[:4])
-        slopes = [kernels._slope(ai, bi) for ai, bi in zip(a, b)]
-        self.a_codes = np.repeat(a, P)
-        self.b_codes = np.repeat(b, P)
-        self.slope_lo = np.repeat([s.lo for s in slopes], P)
-        self.slope_hi = np.repeat([s.hi for s in slopes], P)
 
 
 @lru_cache(maxsize=32)

@@ -2,9 +2,12 @@
 
 Each box first runs the exclusion battery; survivors small enough in
 every coordinate (the `bias` gate) run the Krawczyk certification, whose
-failed attempts still shrink the box.  Remaining boxes bisect along their
-longest edge with an overlap margin so every point of the domain is
-interior to some descendant, as the certification theorem requires.
+failed attempts still shrink the box.  Certification is a stage of the
+loop: boxes stay in flight across chunks and each turn applies one
+operator step to them, so the steps run on full batches.  Remaining boxes
+bisect along their longest edge with an overlap margin so every point of
+the domain is interior to some descendant, as the certification theorem
+requires.
 Boxes narrower than `eps` everywhere with no verdict count as undecided;
 an undecided box makes the run inconclusive, never silently dropped.
 """
@@ -141,72 +144,71 @@ TASK_BOXES = 2048
 
 
 def _search_loop(rctx, bset, cfg: SearchConfig, masses: Masses, stack, budget=math.inf):
-    """Iterative depth-first search over a stack of (lo, hi) boxes, top
-    last, processing it in batched chunks.
+    """Iterative depth-first search over a stack of (lo, hi) boxes, top last.
 
-    Once `budget` boxes are processed it stops between chunks; the
-    unprocessed stack comes back last, and feeding it back in continues
-    the same tree.
+    Each turn runs the battery on a chunk of up to `BATCH` boxes from the
+    top of the stack, but only while fewer than `BATCH` boxes are in the
+    Krawczyk stage; survivors within the `bias` gate join that stage and
+    the others branch.  Then one Krawczyk step runs on the `BATCH` oldest
+    boxes in flight, so a box still iterating shares its next step with
+    boxes of the next chunk; boxes leave the stage with a verdict, and
+    failed ones branch.  Once `budget` boxes are processed it takes no more
+    chunks, steps until the stage is empty and returns the unprocessed
+    stack last; feeding it back in continues the same tree.
     """
     stats = SearchStats()
     solutions: list[SolutionBox] = []
     undecided_boxes: list[tuple[np.ndarray, np.ndarray]] = []
     stack = list(stack)
+    kr = krawczyk.Iteration(rctx)
     report_every = 500000
     next_report = report_every
-    while stack and stats.calls < budget:
-        take = min(BATCH, len(stack))
-        chunk = stack[-take:]
-        del stack[-take:]
-        zlo = np.stack([c[0] for c in chunk])
-        zhi = np.stack([c[1] for c in chunk])
-        stats.calls += len(chunk)
-        if log.isEnabledFor(logging.DEBUG) and stats.calls >= next_report:
-            next_report += report_every
-            log.debug("search calls=%d stack=%d", stats.calls, len(stack))
-        status, out_lo, out_hi = exclusion.run_battery_batch(
-            rctx.m, bset, zlo, zhi, cfg.ordering
-        )
-        # gather the boxes small enough for certification and run them together
-        kr_rows = [
-            b
-            for b in range(len(chunk))
-            if status[b] == exclusion.SURVIVED
-            and np.all(out_hi[b] - out_lo[b] <= cfg.bias)
-        ]
-        kr_outcomes = {}
-        if kr_rows:
-            sel = np.array(kr_rows)
-            outs = krawczyk.iterate_batch(rctx, out_lo[sel], out_hi[sel])
-            kr_outcomes = dict(zip(kr_rows, outs))
+
+    def branch(blo, bhi, children):
+        widths = bhi - blo
+        if np.max(widths) < cfg.eps:
+            stats.undecided += 1
+            undecided_boxes.append((blo, bhi))
+        else:
+            left, right = split(blo, bhi, int(np.argmax(widths)), cfg.overlap)
+            children += (right, left)
+
+    while (stack and stats.calls < budget) or kr:
         children = []
-        for b in range(len(chunk)):
-            st = int(status[b])
-            if st < exclusion.SURVIVED:
-                stats.bump(exclusion.TEST_NAMES[st])
-                continue
-            blo = out_lo[b]
-            bhi = out_hi[b]
-            outcome = kr_outcomes.get(b)
-            if outcome is not None:
+        if stack and stats.calls < budget and len(kr) < BATCH:
+            take = min(BATCH, len(stack))
+            chunk = stack[-take:]
+            del stack[-take:]
+            zlo = np.stack([c[0] for c in chunk])
+            zhi = np.stack([c[1] for c in chunk])
+            stats.calls += take
+            if log.isEnabledFor(logging.DEBUG) and stats.calls >= next_report:
+                next_report += report_every
+                log.debug("search calls=%d stack=%d", stats.calls, len(stack))
+            status, out_lo, out_hi = exclusion.run_battery_batch(
+                rctx.m, bset, zlo, zhi, cfg.ordering
+            )
+            for st, k in zip(*np.unique(status, return_counts=True)):
+                if st < exclusion.SURVIVED:
+                    stats.bump(exclusion.TEST_NAMES[st], int(k))
+            survived = status == exclusion.SURVIVED
+            gate = survived & np.all(out_hi - out_lo <= cfg.bias, axis=-1)
+            if np.any(gate):
+                kr.add(out_lo[gate], out_hi[gate])
+            for b in np.flatnonzero(survived & ~gate).tolist():
+                branch(out_lo[b], out_hi[b], children)
+        if kr:
+            for outcome in kr.step(BATCH)[1]:
                 if outcome.tag == "unique_zero":
                     stats.bump("krawczyk.zeroInside")
                     stats.zeros_found += 1
                     solutions.append(make_solution(rctx, outcome.lo, outcome.hi, masses))
-                    continue
-                if outcome.tag == "no_zero":
+                elif outcome.tag == "no_zero":
                     stats.bump("krawczyk.noZeroInSet")
-                    continue
-                stats.bump("krawczyk.methodFailed")
-                blo, bhi = outcome.lo, outcome.hi
-            widths = bhi - blo
-            if np.max(widths) < cfg.eps:
-                stats.undecided += 1
-                undecided_boxes.append((blo, bhi))
-                continue
-            left, right = split(blo, bhi, int(np.argmax(widths)), cfg.overlap)
-            children += (right, left)
-        # keep depth-first flavor: the last chunk element's children end on top
+                else:
+                    stats.bump("krawczyk.methodFailed")
+                    branch(outcome.lo, outcome.hi, children)
+        # keep depth-first flavor: the last box's children end on top
         stack.extend(children)
     return solutions, stats, undecided_boxes, stack
 

@@ -277,10 +277,13 @@ class TestCompactionMatchesDense:
         P = rctx.m.P
         xlo, xhi, ylo, yhi = (c[: k * 4 * P] for c in _random_boxes(rng, 5 * k * 4 * P))
         assert len(xlo) == k * 4 * P
-        a = np.tile(rctx.a_codes, k)
-        b = np.tile(rctx.b_codes, k)
-        slo = np.tile(rctx.slope_lo, k)
-        shi = np.tile(rctx.slope_hi, k)
+        # the four (a, b) Jacobian kernels as one stacked per-row batch
+        a, b, _ = zip(*JAC_KINDS[:4])
+        slopes = [_slope(ai, bi) for ai, bi in zip(a, b)]
+        a = np.tile(np.repeat(a, P), k)
+        b = np.tile(np.repeat(b, P), k)
+        slo = np.tile(np.repeat([s.lo for s in slopes], P), k)
+        shi = np.tile(np.repeat([s.hi for s in slopes], P), k)
         ref = dense_reference(xlo, xhi, ylo, yhi, a, b, slo, shi)
         out = bound_kernel_batch(xlo, xhi, ylo, yhi, a, b, slo, shi)
         assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])

@@ -117,6 +117,31 @@ class TestZeroPreservation:
             assert np.all(out.hi - out.lo <= prev_w + 1e-15)
 
 
+class TestMaxIter:
+    def test_box_stops_after_max_iter_steps(self):
+        """A box that needs 7 steps to certify gives up after `max_iter`
+        steps below that, keeping the box its last step left."""
+        rctx = reduced_mod.reduced_ctx(Masses.equal(4))
+        z = newton_polish(np.array([-0.9051285388, 0.0, -0.2862410122, 0.0, 0.9051285343]), 4)
+        prev_lo, prev_hi = lo, hi = z - 1e-2, z + 1e-2
+        for max_iter in range(1, 8):
+            it = krawczyk.Iteration(rctx, max_iter)
+            it.add(lo[None], hi[None])
+            outs, steps = [], 0
+            while it:
+                outs += it.step(1)[1]
+                steps += 1
+            (out,) = outs
+            assert steps == max_iter
+            if max_iter < 7:
+                assert out.tag == "failed" and out.refined
+                assert np.all(out.lo >= prev_lo) and np.all(out.hi <= prev_hi)
+                assert np.any(out.lo > prev_lo) or np.any(out.hi < prev_hi)
+                prev_lo, prev_hi = out.lo, out.hi
+            else:
+                assert out.tag == "unique_zero"
+
+
 class TestUniqueZeroSubdivision:
     def test_subboxes_away_from_zero_are_refutable(self):
         """Inside a certified box, sub-boxes clearly away from the certified

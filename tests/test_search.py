@@ -4,7 +4,7 @@ parallel equivalence, and counter bookkeeping."""
 import numpy as np
 import pytest
 
-from ccenum import bounds, reduced, search as search_mod
+from ccenum import bounds, exclusion, krawczyk, reduced, search as search_mod
 from ccenum.interval import Interval, IntervalVector
 from ccenum.model import Masses
 from ccenum.reduced import ReducedBox
@@ -94,19 +94,39 @@ class TestSearchRuns:
         for a, b in zip(sols, run_n3.solutions):
             assert np.array_equal(a.reduced.arrays()[0], b.reduced.arrays()[0])
 
-    def test_budget_hands_back_the_stack(self, run_n3):
-        """Feeding each returned stack back in continues the serial tree."""
+    def test_budget_hands_back_the_stack(self, run_n3, monkeypatch):
+        """Feeding each returned stack back in continues the serial tree, also
+        when Krawczyk boxes are still in flight at the budget."""
+        events = []  # one per battery chunk and per Krawczyk step, in order
+        battery = exclusion.run_battery_batch
+
+        def record_battery(*args):
+            events.append("battery")
+            return battery(*args)
+
+        class Recording(krawczyk.Iteration):
+            def step(self, limit):
+                events.append("step")
+                return super().step(limit)
+
+        monkeypatch.setattr(exclusion, "run_battery_batch", record_battery)
+        monkeypatch.setattr(krawczyk, "Iteration", Recording)
         cfg = SearchConfig(n=3)
         m = Masses.equal(3)
         rctx, bset = reduced.reduced_ctx(m), bounds.compute_bounds(3, m)
         stack = [initial_domain(cfg).arrays()]
-        total, sols, rounds = SearchStats(), [], 0
+        total, sols, rounds, drained = SearchStats(), [], 0, 0
         while stack:
+            events.clear()
             part, stats, _, stack = search_mod._search_loop(rctx, bset, cfg, m, stack, budget=16)
             total.merge(stats)
             sols += part
             rounds += 1
-        assert rounds > 1
+            # a step after the one in the turn of the last chunk works on boxes
+            # that were in flight when the budget stopped taking chunks
+            last = len(events) - 1 - events[::-1].index("battery")
+            drained += bool(stack) and len(events) - last - 1 >= 2
+        assert rounds > 1 and drained > 0
         assert total == run_n3.stats
         assert _keyset(sols) == _keyset(run_n3.solutions)
 
@@ -151,7 +171,7 @@ class TestSearchRuns:
             raise RuntimeError("task failed")
 
         # the pool forks after the patch, so the workers see it
-        monkeypatch.setattr(search_mod.krawczyk, "iterate_batch", boom)
+        monkeypatch.setattr(search_mod.krawczyk.Iteration, "step", boom)
         cfg = SearchConfig(n=3, threads=2)
         with pytest.raises(RuntimeError, match="task failed"):
             search(initial_domain(cfg), cfg, Masses.equal(3))
