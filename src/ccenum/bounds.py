@@ -22,7 +22,7 @@ import numpy as np
 from . import boxops as bxo
 from . import model
 from .interval import Interval, _next_down, _next_up
-from .model import ConfigurationBox, Masses
+from .model import Masses
 
 
 def icbrt(x: Interval) -> Interval:
@@ -131,19 +131,3 @@ def check_apriori_batch(
     floor = np.nextafter(bset.mm_over_M_lo / np.maximum(R_sq_hi[..., None], 1e-300), -np.inf)
     out |= np.any(rhi < floor, axis=-1)
     return out
-
-
-def check_apriori_arrays(bset: BoundSet, q2lo, q2hi, rlo, rhi) -> bool:
-    return bool(check_apriori_batch(bset, q2lo, q2hi, rlo, rhi))
-
-
-def check_apriori(c: ConfigurationBox, bset: BoundSet, masses: Masses) -> str:
-    """'Excluded' or 'Possible' for a configuration box (collision tolerant)."""
-    ctx = model.nbody_ctx(masses)
-    xlo, xhi, ylo, yhi = c.free_arrays()
-    bxlo, bxhi, bylo, byhi = model.all_body_arrays(ctx, xlo, xhi, ylo, yhi)
-    q2 = bxo.iadd(*bxo.isqr(bxlo, bxhi), *bxo.isqr(bylo, byhi))
-    d = model.pair_disp_arrays(ctx, xlo, xhi, ylo, yhi)
-    r2lo, r2hi = model.pair_r2_arrays(*d)
-    rlo, rhi = bxo.isqrt(r2lo, r2hi)
-    return "Excluded" if check_apriori_arrays(bset, q2[0], q2[1], rlo, rhi) else "Possible"

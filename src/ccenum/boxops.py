@@ -89,12 +89,6 @@ def isqrt(alo, ahi):
     return lo, hi
 
 
-def iabs(alo, ahi):
-    lo = np.where((alo <= 0.0) & (ahi >= 0.0), 0.0, np.minimum(np.abs(alo), np.abs(ahi)))
-    hi = np.maximum(np.abs(alo), np.abs(ahi))
-    return lo, hi
-
-
 def iscale(alo, ahi, c: float):
     """Multiply by an exact float scalar."""
     if c >= 0.0:
@@ -118,17 +112,6 @@ def isum(alo, ahi, axis=None, where=None):
     mag = np.sum(np.maximum(np.abs(alo), np.abs(ahi)), axis=axis)
     pad = (k * _U) * mag * _BUF + _TINY
     return _dn(slo - pad), _up(shi + pad)
-
-
-def iintersect(alo, ahi, blo, bhi):
-    """Componentwise intersection; returns (lo, hi, nonempty mask)."""
-    lo = np.maximum(alo, blo)
-    hi = np.minimum(ahi, bhi)
-    return lo, hi, lo <= hi
-
-
-def ihull(alo, ahi, blo, bhi):
-    return np.minimum(alo, blo), np.maximum(ahi, bhi)
 
 
 def mid_rad(alo, ahi):

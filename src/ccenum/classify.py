@@ -256,17 +256,13 @@ def all_pairings(image, orig, fixed=None, cap: int = MAX_PAIRINGS):
 # hull certification
 
 
-def blow_up(hull: reduced_mod.ReducedBox, masses: Masses, max_rounds: int = 8) -> str:
-    """Certify a unique zero in the hull, inflating it up to max_rounds times.
+def blow_up(rctx, zlo, zhi, max_rounds: int = 8) -> str:
+    """Certify a unique zero in the hull [zlo, zhi], inflating it up to
+    max_rounds times.
 
     Returns "UniqueZero" or "GiveUp".  Width grows by 1.5 per round about
     the fixed center.
     """
-    rctx = reduced_mod.reduced_ctx(masses)
-    return _blow_up_arrays(rctx, *hull.arrays(), max_rounds=max_rounds)
-
-
-def _blow_up_arrays(rctx, zlo, zhi, max_rounds: int = 8) -> str:
     lo, hi = zlo, zhi
     for _ in range(max_rounds + 1):
         out = krawczyk.iterate_arrays(rctx, lo, hi)
@@ -283,7 +279,7 @@ def _blow_up_arrays(rctx, zlo, zhi, max_rounds: int = 8) -> str:
 def _hull_certifies(rctx, za, zb) -> bool:
     hlo = np.minimum(za[0], zb[0])
     hhi = np.maximum(za[1], zb[1])
-    return _blow_up_arrays(rctx, hlo, hhi) == "UniqueZero"
+    return blow_up(rctx, hlo, hhi) == "UniqueZero"
 
 
 # ---------------------------------------------------------------------------

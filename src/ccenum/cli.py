@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "--allow-large",
         action="store_true",
-        default=bool(_env("allow_large", "")),
+        default=_env("allow_large", "").strip().lower() not in ("", "0", "false", "no"),
         help="permit n outside 3..7 (expect astronomical runtimes)",
     )
 

@@ -14,36 +14,17 @@ documented; a verdict of Excluded is a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import boxops as bxo
 from . import bounds as bounds_mod
 from . import model
-from .errors import RefusedUnequalMasses
 from .interval import _add_down
-from .model import ConfigurationBox, Masses
 
 TEST_NAMES = ("checkAprioriBounds", "checkUEqI", "clusterTest", "distanceTest", "checkZero")
 SURVIVED = len(TEST_NAMES)
 
 _U = 2.0**-52
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """Epsilon-linked set of body indices (transitive closure)."""
-
-    members: frozenset[int]
-    epsilon: float
-
-
-@dataclass
-class ExclusionVerdict:
-    outcome: str  # "Excluded" | "Refined" | "Unknown"
-    test: str | None = None
-    refined: ConfigurationBox | None = None
 
 
 class _BatchFrame:
@@ -202,7 +183,6 @@ def check_zero_batch(ctx, fr: _BatchFrame, zlo, zhi):
 
     Returns (excluded (B,), new_lo, new_hi, changed (B,)).
     """
-    n = fr.n
     body_ok = ~np.any(~fr.pair_ok[..., None, :] & ctx.incidence, axis=-1)
     axlo, axhi, aylo, ayhi = model.accel_arrays(
         ctx, fr.dxlo, fr.dxhi, fr.dylo, fr.dyhi, pair_mask=fr.pair_ok
@@ -483,93 +463,3 @@ def run_battery_batch(ctx, bset: bounds_mod.BoundSet, zlo, zhi, ordering: str):
             out_lo[idx] = new_lo
             out_hi[idx] = new_hi
     return status, out_lo, out_hi
-
-
-def run_battery(ctx, bset: bounds_mod.BoundSet, zlo, zhi, ordering: str):
-    """Single-box battery; returns ("excluded", name) | ("refined", (lo, hi)) | ("none", None)."""
-    status, out_lo, out_hi = run_battery_batch(
-        ctx, bset, zlo[None, :], zhi[None, :], ordering
-    )
-    if status[0] < SURVIVED:
-        return "excluded", TEST_NAMES[status[0]]
-    if np.any(out_lo[0] > zlo) or np.any(out_hi[0] < zhi):
-        return "refined", (out_lo[0], out_hi[0])
-    return "none", None
-
-
-# ---------------------------------------------------------------------------
-# public wrappers on configuration boxes
-
-
-def _frame_from_config(c: ConfigurationBox, masses: Masses):
-    ctx = model.nbody_ctx(masses)
-    return ctx, _BatchFrame(ctx, *c.free_arrays())
-
-
-def check_zero_refine(c: ConfigurationBox, masses: Masses) -> ExclusionVerdict:
-    """Residual zero check on a configuration box, refining in body space."""
-    from .interval import Interval
-    from .model import BodyBox
-
-    ctx, fr = _frame_from_config(c, masses)
-    n = fr.n
-    body_ok = ~np.any(~fr.pair_ok[..., None, :] & ctx.incidence, axis=-1)
-    if not np.any(body_ok):
-        return ExclusionVerdict("Unknown")
-    axlo, axhi, aylo, ayhi = model.accel_arrays(
-        ctx, fr.dxlo, fr.dxhi, fr.dylo, fr.dyhi, pair_mask=fr.pair_ok
-    )
-    miss = (axhi < fr.bxlo) | (axlo > fr.bxhi) | (ayhi < fr.bylo) | (aylo > fr.byhi)
-    if np.any(miss & body_ok):
-        return ExclusionVerdict("Excluded", test="checkZero")
-    changed = False
-    new_bodies = []
-    for i in range(n - 1):
-        x = c.bodies[i].x
-        y = c.bodies[i].y
-        if body_ok[i]:
-            nx = x.intersect(Interval(float(axlo[i]), float(axhi[i])))
-            ny = y.intersect(Interval(float(aylo[i]), float(ayhi[i])))
-            if nx.is_empty or ny.is_empty:
-                return ExclusionVerdict("Excluded", test="checkZero")
-            if nx != x or ny != y:
-                changed = True
-            new_bodies.append(BodyBox(nx, ny))
-        else:
-            new_bodies.append(BodyBox(x, y))
-    if changed:
-        return ExclusionVerdict(
-            "Refined", test="checkZero", refined=ConfigurationBox(new_bodies)
-        )
-    return ExclusionVerdict("Unknown")
-
-
-def cluster_partition(c: ConfigurationBox, masses: Masses, epsilon: float) -> list[Cluster]:
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    ctx, fr = _frame_from_config(c, masses)
-    return [Cluster(g, epsilon) for g in cluster_partition_from_frame(ctx, fr, epsilon)]
-
-
-def cluster_zero_test(c: ConfigurationBox, cl: Cluster, masses: Masses) -> str:
-    ctx, fr = _frame_from_config(c, masses)
-    return "Excluded" if _cluster_zero_excluded(ctx, fr, cl.members) else "Unknown"
-
-
-def cluster_fui_test(c: ConfigurationBox, cl: Cluster, masses: Masses) -> str:
-    ctx, fr = _frame_from_config(c, masses)
-    return "Excluded" if _cluster_fui_excluded(ctx, fr, cl.members) else "Unknown"
-
-
-def check_u_eq_i(c: ConfigurationBox, masses: Masses) -> str:
-    ctx, fr = _frame_from_config(c, masses)
-    return "Excluded" if bool(u_eq_i_excluded_batch(ctx, fr)) else "Unknown"
-
-
-def distance_order_test(c: ConfigurationBox, n: int, ordering: str, masses: Masses) -> str:
-    if not masses.equal_mass:
-        raise RefusedUnequalMasses("the body-order normalization requires equal masses")
-    if ordering not in ("increasing", "decreasing"):
-        raise ValueError(f"unknown ordering {ordering!r}")
-    _, fr = _frame_from_config(c, masses)
-    return "Excluded" if bool(distance_order_excluded_batch(fr, ordering)) else "Unknown"

@@ -154,10 +154,6 @@ class Interval:
 
     # -- state ------------------------------------------------------------
 
-    @property
-    def is_empty(self) -> bool:
-        return self._empty
-
     def _check(self) -> None:
         if self._empty:
             raise EmptyIntervalError("arithmetic on empty interval")
@@ -284,42 +280,11 @@ class Interval:
 
     # -- set operations --------------------------------------------------------
 
-    def intersect(self, other: "Interval") -> "Interval":
-        if self._empty or other._empty:
-            return Interval.empty()
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return Interval.empty()
-        return Interval(lo, hi)
-
-    def hull(self, other: "Interval") -> "Interval":
-        if self._empty:
-            return other
-        if other._empty:
-            return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def subset_of_interior(self, other: "Interval") -> bool:
-        """True iff self lies strictly inside other (shared endpoints fail)."""
-        if self._empty:
-            return True
-        if other._empty:
-            return False
-        return other.lo < self.lo and self.hi < other.hi
-
     def contains_zero(self) -> bool:
         return (not self._empty) and self.lo <= 0.0 <= self.hi
 
     def contains(self, x: float) -> bool:
         return (not self._empty) and self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        if other._empty:
-            return True
-        if self._empty:
-            return False
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def disjoint(self, other: "Interval") -> bool:
         if self._empty or other._empty:
@@ -348,13 +313,6 @@ class Interval:
     def inflate(self, delta: float) -> "Interval":
         self._check()
         return Interval(_add_down(self.lo, -delta), _add_up(self.hi, delta))
-
-    def scale_about_mid(self, factor: float) -> "Interval":
-        """Widen about the midpoint: width multiplied by factor, center kept."""
-        self._check()
-        m = self.mid
-        half = max(_mul_up(_add_up(self.hi, -m), factor), _mul_up(_add_up(m, -self.lo), factor))
-        return Interval(_add_down(m, -half), _add_up(m, half))
 
 
 def interval_sum(items: Iterable[Interval]) -> Interval:
@@ -389,15 +347,6 @@ class IntervalVector:
 
     def diam(self) -> list[float]:
         return [e.width for e in self.entries]
-
-    def argmax_diam(self) -> int:
-        """Index of the widest entry; ties broken by lowest index."""
-        widths = self.diam()
-        best = 0
-        for i, w in enumerate(widths):
-            if w > widths[best]:
-                best = i
-        return best
 
     def max_diam(self) -> float:
         return max(self.diam())

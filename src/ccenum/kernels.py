@@ -21,7 +21,6 @@ bit-identical bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,23 +32,6 @@ from .interval import Interval
 
 class SingularBox(DomainError):
     """The query box may contain the origin, where the kernel is singular."""
-
-
-@dataclass(frozen=True)
-class KernelQuery:
-    """Range query for t^a / r^b with t the displacement along `axis`."""
-
-    dx: Interval
-    dy: Interval
-    a: int
-    b: int
-    axis: str = "X"  # "X" or "Y"
-
-    def __post_init__(self):
-        if not (0 < self.a < self.b):
-            raise DomainError(f"kernel exponents need 0 < a < b, got a={self.a} b={self.b}")
-        if self.axis not in ("X", "Y"):
-            raise DomainError(f"axis must be X or Y, got {self.axis!r}")
 
 
 @lru_cache(maxsize=None)
@@ -303,17 +285,3 @@ def _kernel_pow(xlo, xhi, a: int):
     for _ in range(a - 1):
         tlo, thi = bx.imul(tlo, thi, xlo, xhi)
     return tlo, thi
-
-
-def bound_kernel(q: KernelQuery) -> Interval:
-    """Range enclosure of the kernel over a single box (scalar front end)."""
-    dx, dy = (q.dx, q.dy) if q.axis == "X" else (q.dy, q.dx)
-    lo, hi = bound_kernel_batch(
-        np.array([dx.lo]),
-        np.array([dx.hi]),
-        np.array([dy.lo]),
-        np.array([dy.hi]),
-        q.a,
-        q.b,
-    )
-    return Interval(float(lo[0]), float(hi[0]))

@@ -21,8 +21,6 @@ import numpy as np
 from . import boxops as bxo
 from . import reduced as reduced_mod
 from .errors import CollisionPossible, SingularMidpoint
-from .interval import IntervalVector
-from .model import Masses
 
 # C is rejected when max|C| * max|mid| exceeds this: the midpoint is then
 # numerically singular, and a Krawczyk step with such a C cannot contract
@@ -89,19 +87,6 @@ def operator_arrays(rctx, x0: np.ndarray, zlo: np.ndarray, zhi: np.ndarray, C: n
     Klo, Khi = bxo.imatvec_iv(Mlo, Mhi, dzlo, dzhi)
     Klo, Khi = bxo.isub(Klo, Khi, CFlo, CFhi)
     return bxo.iadd(x0, x0, Klo, Khi)
-
-
-def krawczyk_operator(x0, box: reduced_mod.ReducedBox, masses: Masses) -> IntervalVector:
-    """Single operator application (public front end)."""
-    rctx = reduced_mod.reduced_ctx(masses)
-    zlo, zhi = box.arrays()
-    x0 = np.asarray(x0, dtype=float)
-    if np.any(x0 < zlo) or np.any(x0 > zhi):
-        raise ValueError("x0 must lie inside the box")
-    Jlo, Jhi = reduced_mod.jacobian_arrays(rctx, zlo, zhi)
-    C = midpoint_inverse(Jlo, Jhi)
-    Klo, Khi = operator_arrays(rctx, x0, zlo, zhi, C)
-    return IntervalVector(bxo.unpack(Klo, Khi))
 
 
 class Iteration:
@@ -247,11 +232,6 @@ def iterate_batch(rctx, ZLO, ZHI, max_iter: int = 16) -> list[KrawczykOutcome]:
 def iterate_arrays(rctx, zlo, zhi, max_iter: int = 16) -> KrawczykOutcome:
     """Operator iteration on one box; every failure mode is encoded in the outcome."""
     return iterate_batch(rctx, zlo[None, :], zhi[None, :], max_iter=max_iter)[0]
-
-
-def krawczyk_iterate(box: reduced_mod.ReducedBox, masses: Masses, max_iter: int = 16) -> KrawczykOutcome:
-    rctx = reduced_mod.reduced_ctx(masses)
-    return iterate_arrays(rctx, *box.arrays(), max_iter=max_iter)
 
 
 def contract(rctx, zlo, zhi, tol: float = 1e-13, max_iter: int = 40):

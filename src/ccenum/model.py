@@ -1,6 +1,6 @@
-"""Physical model: masses, configuration boxes, the residual field and
-the derived scalars (potential, moment of inertia, scale invariant,
-Moeckel's potential).
+"""Physical model: masses, configuration boxes, the batched acceleration
+arrays of the residual and the derived scalars (potential, moment of
+inertia, scale invariant, Moeckel's potential).
 
 Positions are dimensionless: the proportionality constant of the central
 force balance is fixed to 1 and the center of mass sits at the origin, so
@@ -21,7 +21,7 @@ import numpy as np
 from . import boxops as bxo
 from . import kernels
 from .errors import CollisionPossible
-from .interval import Interval, IntervalMatrix, IntervalVector, interval_sum
+from .interval import Interval, interval_sum
 
 
 class Masses:
@@ -42,10 +42,6 @@ class Masses:
     def equal(cls, n: int) -> "Masses":
         m = Interval.from_fraction(Fraction(1, n))
         return cls([m] * n)
-
-    @classmethod
-    def from_floats(cls, floats) -> "Masses":
-        return cls([Interval(float(v)) for v in floats])
 
     @property
     def n(self) -> int:
@@ -101,11 +97,6 @@ class ConfigurationBox:
     @property
     def n(self) -> int:
         return len(self.bodies) + 1
-
-    @property
-    def reduced_gauge(self) -> bool:
-        pinned = self.bodies[-1].y
-        return pinned.lo == 0.0 and pinned.hi == 0.0
 
     def free_arrays(self):
         xlo, xhi = bxo.pack([b.x for b in self.bodies])
@@ -288,46 +279,6 @@ def derive_last_body(c: ConfigurationBox, masses: Masses) -> BodyBox:
     xlo, xhi, ylo, yhi = c.free_arrays()
     dxlo, dxhi, dylo, dyhi = derived_last_arrays(ctx, xlo, xhi, ylo, yhi)
     return BodyBox(Interval(float(dxlo), float(dxhi)), Interval(float(dylo), float(dyhi)))
-
-
-def pairwise_distances(c: ConfigurationBox, masses: Masses) -> IntervalMatrix:
-    """Symmetric matrix of distance enclosures over all n bodies."""
-    ctx = nbody_ctx(masses)
-    xlo, xhi, ylo, yhi = c.free_arrays()
-    d = pair_disp_arrays(ctx, xlo, xhi, ylo, yhi)
-    r2lo, r2hi = pair_r2_arrays(*d)
-    rlo, rhi = bxo.isqrt(r2lo, r2hi)
-    n = ctx.n
-    zero = Interval(0.0)
-    rows = [[zero for _ in range(n)] for _ in range(n)]
-    for p in range(ctx.P):
-        i, j = int(ctx.ii[p]), int(ctx.jj[p])
-        iv = Interval(float(rlo[p]), float(rhi[p]))
-        rows[i][j] = iv
-        rows[j][i] = iv
-    return IntervalMatrix(rows)
-
-
-def residual_F(c: ConfigurationBox, masses: Masses) -> IntervalVector:
-    """Componentwise enclosure of the full residual q_i - sum_j (m_j/r^3)(q_i - q_j).
-
-    Raises CollisionPossible when any pairwise distance enclosure reaches zero.
-    """
-    ctx = nbody_ctx(masses)
-    xlo, xhi, ylo, yhi = c.free_arrays()
-    d = pair_disp_arrays(ctx, xlo, xhi, ylo, yhi)
-    r2lo, _ = pair_r2_arrays(*d)
-    if np.any(r2lo <= 0.0):
-        raise CollisionPossible("some pairwise distance enclosure contains zero")
-    axlo, axhi, aylo, ayhi = accel_arrays(ctx, *d)
-    bxlo, bxhi, bylo, byhi = all_body_arrays(ctx, xlo, xhi, ylo, yhi)
-    fxlo, fxhi = bxo.isub(bxlo, bxhi, axlo, axhi)
-    fylo, fyhi = bxo.isub(bylo, byhi, aylo, ayhi)
-    out = []
-    for i in range(ctx.n):
-        out.append(Interval(float(fxlo[i]), float(fxhi[i])))
-        out.append(Interval(float(fylo[i]), float(fyhi[i])))
-    return IntervalVector(out)
 
 
 def scalars(c: ConfigurationBox, masses: Masses) -> ScalarEnclosures:

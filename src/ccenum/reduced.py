@@ -19,7 +19,7 @@ import numpy as np
 from . import boxops as bxo
 from . import kernels, model
 from .errors import CollisionPossible
-from .interval import Interval, IntervalMatrix, IntervalVector
+from .interval import Interval, IntervalVector
 from .model import ConfigurationBox, BodyBox, Masses
 
 
@@ -60,17 +60,6 @@ class ReducedBox:
         bodies = [BodyBox(self.coords[2 * i], self.coords[2 * i + 1]) for i in range(n - 2)]
         bodies.append(BodyBox(self.coords[2 * n - 4], zero))
         return ConfigurationBox(bodies)
-
-    @classmethod
-    def from_configuration(cls, c: ConfigurationBox) -> "ReducedBox":
-        if not c.reduced_gauge:
-            raise ValueError("configuration is not in the reduced gauge (y of body n-2 not pinned)")
-        entries = []
-        for b in c.bodies[:-1]:
-            entries += [b.x, b.y]
-        entries.append(c.bodies[-1].x)
-        return cls(IntervalVector(entries))
-
 
 # ---------------------------------------------------------------------------
 # vectorized core
@@ -245,30 +234,6 @@ def jacobian_arrays(rctx: _RCtx, zlo, zhi):
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def reduced_residual(r: ReducedBox, masses: Masses) -> IntervalVector:
-    """Enclosure of the 2(n-1)-1 residual components on the box."""
-    rctx = reduced_ctx(masses)
-    lo, hi = residual_arrays(rctx, *r.arrays())
-    return IntervalVector(bxo.unpack(lo, hi))
-
-
-def reduced_jacobian(r: ReducedBox, masses: Masses) -> IntervalMatrix:
-    """Enclosure of the derivative of the reduced residual on the box."""
-    rctx = reduced_ctx(masses)
-    lo, hi = jacobian_arrays(rctx, *r.arrays())
-    return IntervalMatrix(
-        [[Interval(float(lo[i, j]), float(hi[i, j])) for j in range(rctx.d)] for i in range(rctx.d)]
-    )
-
-
-def jacobian_entry(c: ConfigurationBox, masses: Masses, row: int, col: int) -> Interval:
-    """Single entry of the reduced Jacobian for a reduced-gauge configuration."""
-    r = ReducedBox.from_configuration(c)
-    rctx = reduced_ctx(masses)
-    lo, hi = jacobian_arrays(rctx, *r.arrays())
-    return Interval(float(lo[row, col]), float(hi[row, col]))
 
 
 def gauge_validity(c: ConfigurationBox, masses: Masses) -> bool:

@@ -36,7 +36,6 @@ USAGE_ORDER = (
     ("krawczyk: methodFailed ", "krawczyk.methodFailed"),
     ("krawczyk: zeroIside", "krawczyk.zeroInside"),
     ("krawczyk: no zero inside", "krawczyk.noZeroInSet"),
-    ("spreadTest", "spreadTest"),
     ("U = I", "checkUEqI"),
 )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classify, krawczyk, model
+from . import classify, krawczyk
 from . import reduced as reduced_mod
 from .classify import SymmetryResult
 from .model import Masses
@@ -56,6 +56,8 @@ def gauge_candidate(points: list[tuple[float, float]], masses: Masses) -> np.nda
     """Reduced-coordinate seed: center of mass out, furthest body on +x at
     slot n-2 (plain float preprocessing; rigor comes from certification)."""
     n = len(points)
+    if n < 3:
+        raise ValueError(f"a candidate needs at least 3 bodies, got {n}")
     if masses.n != n:
         raise ValueError("candidate body count does not match the masses")
     pts = np.array(points, dtype=float)
@@ -87,11 +89,11 @@ def verify_candidate(
     delta: float = 1e-6,
     delta_max: float = 1e-3,
 ) -> VerifyResult:
-    rctx = reduced_mod.reduced_ctx(masses)
     try:
         z = gauge_candidate(points, masses)
     except ValueError as exc:
         return VerifyResult(index, False, None, None, None, None, masses, message=str(exc))
+    rctx = reduced_mod.reduced_ctx(masses)
     d = delta
     while d <= delta_max * (1 + 1e-12):
         outcome = krawczyk.iterate_arrays(rctx, z - d, z + d)
@@ -105,12 +107,3 @@ def verify_candidate(
     return VerifyResult(
         index, False, None, None, None, None, masses, message="no certification up to delta_max"
     )
-
-
-def verify_candidates(points_list, masses_for=None, delta: float = 1e-6):
-    """Verify a list of candidate configurations (equal masses by default)."""
-    results = []
-    for k, pts in enumerate(points_list):
-        masses = masses_for(len(pts)) if masses_for else Masses.equal(len(pts))
-        results.append(verify_candidate(k, pts, masses, delta=delta))
-    return results

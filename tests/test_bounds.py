@@ -2,19 +2,30 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from ccenum.bounds import check_apriori, compute_bounds, icbrt
+from ccenum import exclusion, model
+from ccenum.bounds import check_apriori_batch, compute_bounds, icbrt
 from ccenum.interval import Interval, _next_up
-from ccenum.model import BodyBox, ConfigurationBox, Masses
+from ccenum.model import Masses
 from conftest import load_listed
 from oracles import polish_listed
 
 
-def config_around(bodies, w):
-    return ConfigurationBox(
-        [BodyBox(Interval(x - w, x + w), Interval(y - w, y + w)) for x, y in bodies[:-1]]
-    )
+def excluded(b, xlo, xhi, ylo, yhi) -> bool:
+    """`check_apriori_batch` on the battery frame of one box, given by its
+    free-body coordinate ranges."""
+    ctx = model.nbody_ctx(Masses.equal(b.n))
+    fr = exclusion._BatchFrame(ctx, *(np.array([v], dtype=float) for v in (xlo, xhi, ylo, yhi)))
+    return bool(check_apriori_batch(b, fr.q2lo, fr.q2hi, fr.rlo, fr.rhi)[0])
+
+
+def around(bodies, w):
+    """Free-body ranges of half-width w around `bodies` (the last, derived
+    body is ignored)."""
+    x, y = np.array(bodies[:-1], dtype=float).T
+    return x - w, x + w, y - w, y + w
 
 
 class TestComputeBounds:
@@ -48,7 +59,7 @@ class TestComputeBounds:
     def test_cached_per_problem(self):
         b = compute_bounds(5, Masses.equal(5))
         assert compute_bounds(5, Masses.equal(5)) is b
-        other = compute_bounds(5, Masses.from_floats([0.2, 0.2, 0.2, 0.2, 0.25]))
+        other = compute_bounds(5, Masses([Interval(v) for v in (0.2, 0.2, 0.2, 0.2, 0.25)]))
         assert other is not b and not other.mm_over_M_lo.tolist() == b.mm_over_M_lo.tolist()
         with pytest.raises(ValueError):
             b.mm_over_M_lo[0] = 0.0
@@ -69,35 +80,22 @@ class TestComputeBounds:
 
 class TestCheckApriori:
     def test_all_inside_inner_radius(self):
-        c = ConfigurationBox(
-            [BodyBox(Interval(0.1), Interval(0.0)), BodyBox(Interval(0.3), Interval(0.0))]
-        )
         b = compute_bounds(3, Masses.equal(3))
-        assert check_apriori(c, b, Masses.equal(3)) == "Excluded"
+        assert excluded(b, [0.1, 0.3], [0.1, 0.3], [0.0, 0.0], [0.0, 0.0])
 
     def test_body_outside_outer_radius(self):
-        m = Masses.equal(5)
-        b = compute_bounds(5, m)
-        bodies = [
-            BodyBox(Interval(4.5, 4.6), Interval(0.0)),
-            BodyBox(Interval(-1.0), Interval(0.5)),
-            BodyBox(Interval(0.5), Interval(-0.5)),
-            BodyBox(Interval(0.7), Interval(0.0)),
-        ]
-        assert check_apriori(ConfigurationBox(bodies), b, m) == "Excluded"
+        b = compute_bounds(5, Masses.equal(5))
+        y = [0.0, 0.5, -0.5, 0.0]
+        assert excluded(b, [4.5, -1.0, 0.5, 0.7], [4.6, -1.0, 0.5, 0.7], y, y)
 
     def test_true_cc_possible(self):
-        m = Masses.equal(3)
-        b = compute_bounds(3, m)
+        b = compute_bounds(3, Masses.equal(3))
         r3 = 1 / math.sqrt(3)
-        c = config_around([(-r3 / 2, -0.5), (r3, 0.0), (-r3 / 2, 0.5)], 1e-3)
-        assert check_apriori(c, b, m) == "Possible"
+        assert not excluded(b, *around([(-r3 / 2, -0.5), (r3, 0.0), (-r3 / 2, 0.5)], 1e-3))
 
     def test_listed_ccs_possible(self):
         for n in (3, 4, 5, 6, 7):
-            m = Masses.equal(n)
-            b = compute_bounds(n, m)
+            b = compute_bounds(n, Masses.equal(n))
             for pts in load_listed(n):
                 _, bodies = polish_listed(pts)
-                c = config_around([tuple(p) for p in bodies], 1e-3)
-                assert check_apriori(c, b, m) == "Possible", (n, pts)
+                assert not excluded(b, *around(bodies, 1e-3)), (n, pts)

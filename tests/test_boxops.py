@@ -52,14 +52,6 @@ class TestElementwise:
         lo, hi = bxo.iscale(np.array([1.0]), np.array([2.0]), -3.0)
         assert lo[0] <= -6.0 and hi[0] >= -3.0
 
-    def test_hull_intersect(self):
-        lo, hi = bxo.ihull(np.array([0.0]), np.array([1.0]), np.array([2.0]), np.array([3.0]))
-        assert lo[0] == 0.0 and hi[0] == 3.0
-        lo, hi, ok = bxo.iintersect(
-            np.array([0.0]), np.array([1.0]), np.array([2.0]), np.array([3.0])
-        )
-        assert not ok[0]
-
 
 class TestLinearAlgebra:
     def test_matvec_point_containment(self):

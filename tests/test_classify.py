@@ -7,9 +7,7 @@ import pytest
 from ccenum import classify
 from ccenum import reduced as reduced_mod
 from ccenum.classify import blow_up, detect_collinear, same_solution, symmetry_check
-from ccenum.interval import Interval, IntervalVector
 from ccenum.model import Masses
-from ccenum.reduced import ReducedBox
 from ccenum.search import make_solution
 from oracles import newton_polish
 
@@ -63,19 +61,21 @@ class TestSameSolution:
 
 
 class TestBlowUp:
+    def setup_method(self):
+        self.rctx = reduced_mod.reduced_ctx(Masses.equal(3))
+
     def test_already_certified(self, collinear3):
-        assert blow_up(collinear3.reduced, Masses.equal(3)) == "UniqueZero"
+        assert blow_up(self.rctx, *collinear3.reduced.arrays()) == "UniqueZero"
 
     def test_tight_hull_inflates_to_success(self):
         z = newton_polish(np.array([-D3, 0.0, D3]), 3)
-        hull = ReducedBox(IntervalVector([Interval(v - 1e-13, v + 1e-13) for v in z]))
-        assert blow_up(hull, Masses.equal(3)) == "UniqueZero"
+        assert blow_up(self.rctx, z - 1e-13, z + 1e-13) == "UniqueZero"
 
     def test_hull_of_two_ccs_gives_up(self, collinear3, equilateral3):
         a = collinear3.reduced.arrays()
         b = equilateral3.reduced.arrays()
-        hull = ReducedBox.from_arrays(np.minimum(a[0], b[0]), np.maximum(a[1], b[1]))
-        assert blow_up(hull, Masses.equal(3)) == "GiveUp"
+        hull = np.minimum(a[0], b[0]), np.maximum(a[1], b[1])
+        assert blow_up(self.rctx, *hull) == "GiveUp"
 
 
 class TestSymmetry:

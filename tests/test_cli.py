@@ -1,5 +1,8 @@
 """Command line driver: the three subcommands end to end on small inputs."""
 
+import pytest
+
+from ccenum import cli
 from ccenum.cli import main
 
 
@@ -31,6 +34,27 @@ class TestSearchCommand:
     def test_large_n_guard(self, capsys):
         assert main(["search", "--n", "9"]) == 2
 
+    @pytest.mark.parametrize("value", ["0", "false", "No", ""])
+    def test_allow_large_env_off(self, value, monkeypatch):
+        def started(*args):
+            raise AssertionError("a search started")
+
+        monkeypatch.setattr(cli, "search", started)
+        monkeypatch.setenv("CCENUM_ALLOW_LARGE", value)
+        assert main(["search", "--n", "9"]) == 2
+
+    def test_allow_large_env_on(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr(cli, "search", started)
+        monkeypatch.setenv("CCENUM_ALLOW_LARGE", "1")
+        with pytest.raises(Started):
+            main(["search", "--n", "9"])
+
 
 class TestVerifyCommand:
     def test_verify_file(self, tmp_path):
@@ -46,6 +70,26 @@ class TestVerifyCommand:
         text = report.read_text()
         assert "Certified candidates: 2 / 2" in text
         assert "collinear solution" in text
+
+    def test_too_few_bodies_not_certified(self, tmp_path):
+        """Candidates of 2 and 1 bodies are reported as not certified, and
+        the candidates around them are still verified."""
+        cand = tmp_path / "cands.txt"
+        cand.write_text(
+            "-0.2886751346 -0.5\n0.5773502692 0\n-0.2886751346 0.5\n"
+            "\n"
+            "-0.5 0\n0.5 0\n"
+            "\n"
+            "0 0\n"
+        )
+        report = tmp_path / "verify.txt"
+        code = main(["verify", "--candidates", str(cand), "--report", str(report)])
+        assert code == 1
+        blocks = report.read_text().split("---------------------")[1:]
+        assert "unique zero certified" in blocks[0]
+        assert "NOT CERTIFIED: a candidate needs at least 3 bodies, got 2" in blocks[1]
+        assert "NOT CERTIFIED: a candidate needs at least 3 bodies, got 1" in blocks[2]
+        assert "Certified candidates: 1 / 3" in blocks[2]
 
     def test_verify_failure_exit_code(self, tmp_path):
         cand = tmp_path / "bad.txt"

@@ -1,16 +1,15 @@
 """Exclusion battery: worked examples per test, partition properties, and
 the master soundness property (no test excludes a box around a true
-configuration)."""
+configuration).  Every example runs the batched function the search
+calls, on a batch of one box."""
 
 import numpy as np
 import pytest
 
 from ccenum import exclusion, model
 from ccenum import reduced as reduced_mod
-from ccenum.bounds import compute_bounds
-from ccenum.errors import RefusedUnequalMasses
-from ccenum.interval import Interval
-from ccenum.model import BodyBox, ConfigurationBox, Masses
+from ccenum.bounds import check_apriori_batch, compute_bounds
+from ccenum.model import Masses
 from conftest import load_listed
 from oracles import polish_listed
 
@@ -18,14 +17,38 @@ D3 = (5.0 / 12.0) ** (1.0 / 3.0)
 R3 = 3.0**-0.5
 
 
-def config_around(bodies, w):
-    return ConfigurationBox(
-        [BodyBox(Interval(x - w, x + w), Interval(y - w, y + w)) for x, y in bodies[:-1]]
-    )
+def body_frame(xlo, xhi, ylo, yhi):
+    """Battery frame of one box given by its free-body coordinate ranges."""
+    n = len(xlo) + 1
+    ctx = model.nbody_ctx(Masses.equal(n))
+    arrays = (np.array([v], dtype=float) for v in (xlo, xhi, ylo, yhi))
+    return ctx, exclusion._BatchFrame(ctx, *arrays)
 
 
-def equilateral_box(w):
-    return config_around([(-R3 / 2, -0.5), (R3, 0.0), (-R3 / 2, 0.5)], w)
+def frame_around(bodies, w):
+    """Frame of the box of half-width w around the free bodies of `bodies`
+    (its last entry, the derived body, is ignored)."""
+    x, y = np.array(bodies[:-1], dtype=float).T
+    return body_frame(x - w, x + w, y - w, y + w)
+
+
+def reduced_frame(zlo, zhi):
+    """Frame of one reduced box, as `run_battery_batch` builds it."""
+    zlo, zhi = np.array([zlo], dtype=float), np.array([zhi], dtype=float)
+    n = reduced_mod.n_for_dim(zlo.shape[1])
+    ctx = model.nbody_ctx(Masses.equal(n))
+    return ctx, exclusion._BatchFrame(ctx, *reduced_mod.box_to_free_arrays(zlo, zhi, n)), zlo, zhi
+
+
+def equilateral_frame(w):
+    return frame_around([(-R3 / 2, -0.5), (R3, 0.0), (-R3 / 2, 0.5)], w)
+
+
+def group_excluded(ctx, fr, members):
+    """`cluster_groups_excluded` for one proper group of the single box."""
+    mask = np.zeros((1, fr.n), dtype=bool)
+    mask[0, list(members)] = True
+    return bool(exclusion.cluster_groups_excluded(ctx, fr, np.array([0]), mask)[0])
 
 
 class TestCheckZero:
@@ -33,162 +56,149 @@ class TestCheckZero:
         # off-center box (the configuration still inside): the acceleration
         # enclosure clips the box from one side
         w, s = 1e-2, 0.8e-2
-        bodies = [
-            BodyBox(Interval(-R3 / 2 - w + s, -R3 / 2 + w + s), Interval(-0.5 - w + s, -0.5 + w + s)),
-            BodyBox(Interval(R3 - w - s, R3 + w - s), Interval(-w, w)),
-        ]
-        c = ConfigurationBox(bodies)
-        v = exclusion.check_zero_refine(c, Masses.equal(3))
-        assert v.outcome == "Refined"
-        widths_before = [b.x.width + b.y.width for b in c.bodies]
-        widths_after = [b.x.width + b.y.width for b in v.refined.bodies]
-        assert sum(widths_after) < sum(widths_before)
+        z = np.array([-R3 / 2 + s, -0.5 + s, R3 - s])
+        ctx, fr, zlo, zhi = reduced_frame(z - w, z + w)
+        excluded, new_lo, new_hi, changed = exclusion.check_zero_batch(ctx, fr, zlo, zhi)
+        assert not excluded[0] and changed[0]
+        assert np.all(new_lo >= zlo) and np.all(new_hi <= zhi)
+        assert np.sum(new_hi - new_lo) < np.sum(zhi - zlo)
 
     def test_excludes_scaled(self):
-        c = config_around([(-R3, -1.0), (2 * R3, 0.0), (-R3, 1.0)], 1e-3)
-        v = exclusion.check_zero_refine(c, Masses.equal(3))
-        assert v.outcome == "Excluded"
+        z = np.array([-R3, -1.0, 2 * R3])
+        ctx, fr, zlo, zhi = reduced_frame(z - 1e-3, z + 1e-3)
+        assert exclusion.check_zero_batch(ctx, fr, zlo, zhi)[0].tolist() == [True]
 
     def test_collision_tolerant(self):
-        bodies = [
-            BodyBox(Interval(0.4, 0.6), Interval(-0.1, 0.1)),
-            BodyBox(Interval(0.45, 0.65), Interval(-0.1, 0.1)),
-        ]
-        v = exclusion.check_zero_refine(ConfigurationBox(bodies), Masses.equal(3))
-        assert v.outcome in ("Refined", "Unknown", "Excluded")
+        ctx, fr, zlo, zhi = reduced_frame([0.4, -0.1, 0.45], [0.6, 0.1, 0.65])
+        assert not fr.pair_ok[0, 0]
+        excluded, new_lo, new_hi, _ = exclusion.check_zero_batch(ctx, fr, zlo, zhi)
+        assert excluded[0] or (np.all(new_lo >= zlo) and np.all(new_hi <= zhi))
+
+
+def _partition(R):
+    """The distinct member sets of a (n, n) closure."""
+    return sorted({tuple(np.nonzero(row)[0]) for row in R})
 
 
 class TestClusterPartition:
+    """The batched epsilon closure the cluster tests group bodies by."""
+
     def test_separated_singletons(self):
-        c = config_around([(-1.0, 0.0), (1.0, 0.0), (0.0, 0.0)], 1e-3)
-        parts = exclusion.cluster_partition(c, Masses.equal(3), 0.1)
-        assert sorted(len(p.members) for p in parts) == [1, 1, 1]
+        ctx, fr = frame_around([(-1.0, 0.0), (1.0, 0.0), (0.0, 0.0)], 1e-3)
+        R = exclusion._closure(ctx, fr.rlo, np.array([0.1]))
+        assert _partition(R[0]) == [(0,), (1,), (2,)]
+        box, _ = exclusion.cluster_groups(ctx, fr, np.array([0.1]))
+        assert len(box) == 0
 
     def test_overlapping_pair(self):
-        bodies = [
-            BodyBox(Interval(0.4, 0.6), Interval(-0.1, 0.1)),
-            BodyBox(Interval(0.45, 0.65), Interval(-0.1, 0.1)),
-        ]
-        parts = exclusion.cluster_partition(ConfigurationBox(bodies), Masses.equal(3), 0.0)
-        sizes = sorted(len(p.members) for p in parts)
-        assert sizes == [1, 2]
+        ctx, fr = body_frame([0.4, 0.45], [0.6, 0.65], [-0.1, -0.1], [0.1, 0.1])
+        R = exclusion._closure(ctx, fr.rlo, np.array([0.0]))
+        assert _partition(R[0]) == [(0, 1), (2,)]
+        box, masks = exclusion.cluster_groups(ctx, fr, np.array([0.0]))
+        assert masks.tolist() == [[True, True, False]]
 
     def test_huge_epsilon_single_cluster(self):
-        c = config_around([(-1.0, 0.0), (1.0, 0.0), (0.0, 0.0)], 1e-3)
-        parts = exclusion.cluster_partition(c, Masses.equal(3), 100.0)
-        assert len(parts) == 1 and len(parts[0].members) == 3
+        ctx, fr = frame_around([(-1.0, 0.0), (1.0, 0.0), (0.0, 0.0)], 1e-3)
+        R = exclusion._closure(ctx, fr.rlo, np.array([100.0]))
+        assert _partition(R[0]) == [(0, 1, 2)]
+        box, _ = exclusion.cluster_groups(ctx, fr, np.array([100.0]))
+        assert len(box) == 0  # the whole set is no proper group
 
     def test_partition_covers_and_disjoint(self):
+        """The closure rows partition the bodies, as the per-box union-find
+        of `cluster_test_excluded_single` does."""
         rng = np.random.default_rng(3)
         for _ in range(100):
             n = int(rng.choice([3, 4, 5]))
             pts = rng.uniform(-1, 1, (n - 1, 2))
-            c = config_around(np.vstack([pts, [[0, 0]]]), rng.uniform(0, 0.05))
+            ctx, fr = frame_around(np.vstack([pts, [[0, 0]]]), rng.uniform(0, 0.05))
             eps = float(rng.uniform(0, 1.0))
-            parts = exclusion.cluster_partition(c, Masses.equal(n), eps)
+            R = exclusion._closure(ctx, fr.rlo, np.array([eps]))[0]
+            parts = _partition(R)
             seen = set()
             for p in parts:
-                assert not (seen & p.members)
-                seen |= p.members
+                assert not (seen & set(p))
+                seen |= set(p)
             assert seen == set(range(n))
+            ref = exclusion.cluster_partition_from_frame(ctx, fr.take(0), eps)
+            assert parts == sorted(tuple(sorted(g)) for g in ref)
 
 
 class TestClusterTests:
     def test_full_cluster_zero_skipped(self):
-        # center of mass vanishes by construction, the test never fires
-        c = config_around([(0.2, 0.0), (0.5, 0.0), (0.9, 0.0)], 1e-3)
-        cl = exclusion.Cluster(frozenset({0, 1, 2}), 0.0)
-        assert exclusion.cluster_zero_test(c, cl, Masses.equal(3)) == "Unknown"
+        # the zero test of the whole set reduces to the center-of-mass
+        # identity and never fires, so the whole set is never a group
+        ctx, fr = frame_around([(0.2, 0.0), (0.5, 0.0), (0.9, 0.0)], 1e-3)
+        box, _ = exclusion.cluster_groups(ctx, fr, np.array([100.0]))
+        assert len(box) == 0
+        assert not exclusion._cluster_zero_excluded(ctx, fr.take(0), frozenset({0, 1, 2}))
+        assert exclusion.cluster_test_excluded_batch(ctx, fr, np.array([100.0])).tolist() == [False]
 
     def test_pair_cluster_zero(self):
         # two tight boxes near (0.5, 0) with the third far left; the summed
         # equation for the pair cannot vanish
-        bodies = [
-            BodyBox(Interval(0.495, 0.505), Interval(-0.005, 0.005)),
-            BodyBox(Interval(0.505, 0.515), Interval(-0.005, 0.005)),
-        ]
-        c = ConfigurationBox(bodies)  # derived body lands near (-1, 0)
-        cl = exclusion.Cluster(frozenset({0, 1}), 0.05)
-        out = exclusion.cluster_zero_test(c, cl, Masses.equal(3))
-        assert out == "Excluded"
+        ctx, fr = body_frame([0.495, 0.505], [0.505, 0.515], [-0.005, -0.005], [0.005, 0.005])
+        assert group_excluded(ctx, fr, {0, 1})
+        assert exclusion._cluster_zero_excluded(ctx, fr.take(0), frozenset({0, 1}))
 
     def test_fui_near_collision(self):
-        m = Masses.equal(3)
-        bodies = [
-            BodyBox(Interval(0.4995, 0.5005), Interval(-0.0005, 0.0005)),
-            BodyBox(Interval(0.4995, 0.5005), Interval(-0.0005, 0.0005)),
-        ]
-        c = ConfigurationBox(bodies)
-        cl = exclusion.Cluster(frozenset({0, 1}), 0.01)
-        assert exclusion.cluster_fui_test(c, cl, m) == "Excluded"
+        ctx, fr = body_frame([0.4995] * 2, [0.5005] * 2, [-0.0005] * 2, [0.0005] * 2)
+        assert group_excluded(ctx, fr, {0, 1})
+        assert exclusion._cluster_fui_excluded(ctx, fr.take(0), frozenset({0, 1}))
 
     def test_fui_whole_set_complementary(self):
-        c = config_around([(-2.0, 0.0), (2.0, 0.0), (0.0, 0.0)], 1e-4)
-        cl = exclusion.Cluster(frozenset({0, 1, 2}), 0.0)
-        assert exclusion.cluster_fui_test(c, cl, Masses.equal(3)) == "Excluded"
+        ctx, fr = frame_around([(-2.0, 0.0), (2.0, 0.0), (0.0, 0.0)], 1e-4)
+        assert exclusion._fullset_fui_excluded_batch(ctx, fr).tolist() == [True]
 
     def test_true_cc_unknown(self):
-        c = equilateral_box(1e-4)
-        for members in ({0, 1}, {0, 1, 2}):
-            cl = exclusion.Cluster(frozenset(members), 0.0)
-            assert exclusion.cluster_zero_test(c, cl, Masses.equal(3)) == "Unknown"
-            assert exclusion.cluster_fui_test(c, cl, Masses.equal(3)) == "Unknown"
+        ctx, fr = equilateral_frame(1e-4)
+        assert not group_excluded(ctx, fr, {0, 1})
+        assert exclusion._fullset_fui_excluded_batch(ctx, fr).tolist() == [False]
 
 
 class TestUEqI:
     def test_disjoint_excludes(self):
-        c = config_around([(-2.0, 0.0), (2.0, 0.0), (0.0, 0.0)], 1e-4)
-        assert exclusion.check_u_eq_i(c, Masses.equal(3)) == "Excluded"
+        ctx, fr = frame_around([(-2.0, 0.0), (2.0, 0.0), (0.0, 0.0)], 1e-4)
+        assert exclusion.u_eq_i_excluded_batch(ctx, fr).tolist() == [True]
 
     def test_true_cc_unknown(self):
-        assert exclusion.check_u_eq_i(equilateral_box(1e-4), Masses.equal(3)) == "Unknown"
+        ctx, fr = equilateral_frame(1e-4)
+        assert exclusion.u_eq_i_excluded_batch(ctx, fr).tolist() == [False]
 
     def test_collision_skipped(self):
-        bodies = [
-            BodyBox(Interval(0.4, 0.6), Interval(-0.1, 0.1)),
-            BodyBox(Interval(0.45, 0.65), Interval(-0.1, 0.1)),
-        ]
-        assert exclusion.check_u_eq_i(ConfigurationBox(bodies), Masses.equal(3)) == "Unknown"
+        ctx, fr = body_frame([0.4, 0.45], [0.6, 0.65], [-0.1, -0.1], [0.1, 0.1])
+        assert exclusion.u_eq_i_excluded_batch(ctx, fr).tolist() == [False]
 
 
 class TestDistanceOrder:
+    def test_unequal_masses_refused(self):
+        # the body-order test runs only inside the search, which refuses
+        # unequal masses before any battery call
+        from ccenum.errors import RefusedUnequalMasses
+        from ccenum.interval import Interval
+        from ccenum.search import SearchConfig, initial_domain, search
+
+        cfg = SearchConfig(n=3)
+        m = Masses([Interval(0.2), Interval(0.3), Interval(0.5)])
+        with pytest.raises(RefusedUnequalMasses):
+            search(initial_domain(cfg), cfg, m)
+
     def test_middle_order_violation_n5(self):
-        m = Masses.equal(5)
         # derived body lands at (-0.7, 0.1); the n=5 chain is x_2 vs derived x
-        bodies = [
-            BodyBox(Interval(-0.7), Interval(0.3)),
-            BodyBox(Interval(0.0), Interval(-0.5)),
-            BodyBox(Interval(0.5), Interval(0.1)),
-            BodyBox(Interval(0.9), Interval(0.0)),
-        ]
-        c = ConfigurationBox(bodies)
-        assert exclusion.distance_order_test(c, 5, "increasing", m) == "Excluded"
-        assert exclusion.distance_order_test(c, 5, "decreasing", m) == "Unknown"
+        x, y = [-0.7, 0.0, 0.5, 0.9], [0.3, -0.5, 0.1, 0.0]
+        _, fr = body_frame(x, x, y, y)
+        assert exclusion.distance_order_excluded_batch(fr, "increasing").tolist() == [True]
+        assert exclusion.distance_order_excluded_batch(fr, "decreasing").tolist() == [False]
 
     def test_negative_y0_excluded_n3(self):
-        bodies = [
-            BodyBox(Interval(-0.6), Interval(-0.4, -0.2)),
-            BodyBox(Interval(0.7), Interval(0.0)),
-        ]
-        out = exclusion.distance_order_test(ConfigurationBox(bodies), 3, "increasing", Masses.equal(3))
-        assert out == "Excluded"
+        _, fr = body_frame([-0.6, 0.7], [-0.6, 0.7], [-0.4, 0.0], [-0.2, 0.0])
+        assert exclusion.distance_order_excluded_batch(fr, "increasing").tolist() == [True]
 
     def test_derived_farther_than_pinned_excluded(self):
         # derived body provably farther from the origin than x_{n-2}
-        bodies = [
-            BodyBox(Interval(-2.0), Interval(0.5)),
-            BodyBox(Interval(-1.5), Interval(-0.5)),
-            BodyBox(Interval(0.6), Interval(0.0)),
-        ]
-        out = exclusion.distance_order_test(ConfigurationBox(bodies), 4, "increasing", Masses.equal(4))
-        assert out == "Excluded"
-
-    def test_unequal_masses_refused(self):
-        bodies = [BodyBox(Interval(-0.5), Interval(0.1)), BodyBox(Interval(0.7), Interval(0.0))]
-        with pytest.raises(RefusedUnequalMasses):
-            exclusion.distance_order_test(
-                ConfigurationBox(bodies), 3, "increasing", Masses.from_floats([0.2, 0.3, 0.5])
-            )
+        x, y = [-2.0, -1.5, 0.6], [0.5, -0.5, 0.0]
+        _, fr = body_frame(x, x, y, y)
+        assert exclusion.distance_order_excluded_batch(fr, "increasing").tolist() == [True]
 
 
 class TestRefinementSoundness:
@@ -222,21 +232,17 @@ class TestSoundness:
         true configuration (the body-order test depends on the labeling and
         is covered on the search's own solutions instead)."""
         for n in (3, 4, 5, 6, 7):
-            m = Masses.equal(n)
-            bset = compute_bounds(n, m)
+            bset = compute_bounds(n, Masses.equal(n))
             for pts in load_listed(n):
-                z, bodies = polish_listed(pts)
-                c = config_around([tuple(p) for p in bodies], 1e-6)
-                from ccenum.bounds import check_apriori
-
-                assert check_apriori(c, bset, m) == "Possible", (n, pts)
-                assert exclusion.check_u_eq_i(c, m) != "Excluded", (n, pts)
-                v = exclusion.check_zero_refine(c, m)
-                assert v.outcome != "Excluded", (n, pts)
-                for eps in (0.0, 2e-6):
-                    for cl in exclusion.cluster_partition(c, m, eps):
-                        assert exclusion.cluster_zero_test(c, cl, m) != "Excluded"
-                        assert exclusion.cluster_fui_test(c, cl, m) != "Excluded"
+                z, _ = polish_listed(pts)
+                ctx, fr, zlo, zhi = reduced_frame(z - 1e-6, z + 1e-6)
+                assert not check_apriori_batch(bset, fr.q2lo, fr.q2hi, fr.rlo, fr.rhi)[0]
+                assert not exclusion.u_eq_i_excluded_batch(ctx, fr)[0], (n, pts)
+                assert not exclusion.check_zero_batch(ctx, fr, zlo, zhi)[0][0], (n, pts)
+                assert not exclusion._fullset_fui_excluded_batch(ctx, fr)[0], (n, pts)
+                # the proper groups at epsilon 0 and 2e-6
+                box, masks = exclusion.cluster_groups(ctx, fr, np.array([2e-6]))
+                assert not np.any(exclusion.cluster_groups_excluded(ctx, fr, box, masks))
 
     def test_full_battery_keeps_oriented_ccs(self, run_n3):
         """On the search's own certified solutions (correctly oriented by

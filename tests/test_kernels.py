@@ -11,14 +11,11 @@ import pytest
 
 from ccenum import boxops as bx
 from ccenum import kernels
-from ccenum.errors import DomainError
 from ccenum.interval import Interval
 from ccenum.kernels import (
-    KernelQuery,
     SingularBox,
     _r_pow,
     _slope,
-    bound_kernel,
     bound_kernel_batch,
     bound_pair_kernels,
 )
@@ -27,37 +24,41 @@ from ccenum.reduced import JAC_KINDS, box_to_free_arrays, reduced_ctx
 from oracles import kernel_grid_range
 
 
+def bound_one(xlo, xhi, ylo, yhi, a, b):
+    """`bound_kernel_batch` on a 1-row batch, as floats."""
+    lo, hi = bound_kernel_batch(*(np.array([float(v)]) for v in (xlo, xhi, ylo, yhi)), a, b)
+    return float(lo[0]), float(hi[0])
+
+
 class TestExamples:
     def test_point_evaluation(self):
-        out = bound_kernel(KernelQuery(Interval(1), Interval(0), 1, 3))
-        assert out.contains(1.0) and out.width < 1e-12
+        lo, hi = bound_one(1, 1, 0, 0, 1, 3)
+        assert lo <= 1.0 <= hi and hi - lo < 1e-12
 
     def test_monotone_edge(self):
-        out = bound_kernel(KernelQuery(Interval(3, 4), Interval(0), 1, 3))
-        assert out.contains(1 / 16) and out.contains(1 / 9)
-        assert out.lo >= 1 / 16 - 1e-12 and out.hi <= 1 / 9 + 1e-12
+        lo, hi = bound_one(3, 4, 0, 0, 1, 3)
+        assert lo <= 1 / 16 and 1 / 9 <= hi
+        assert lo >= 1 / 16 - 1e-12 and hi <= 1 / 9 + 1e-12
 
     def test_square_box(self):
-        out = bound_kernel(KernelQuery(Interval(1, 2), Interval(1, 2), 1, 3))
+        lo, hi = bound_one(1, 2, 1, 2, 1, 3)
         glo, ghi = kernel_grid_range(1, 2, 1, 2, 1, 3, grid=2000)
-        assert out.lo <= glo and ghi <= out.hi
-        assert abs(out.lo - glo) < 1e-3 and abs(out.hi - ghi) < 1e-3
+        assert lo <= glo and ghi <= hi
+        assert abs(lo - glo) < 1e-3 and abs(hi - ghi) < 1e-3
         # extrema at the corners (1,1) and (2,2)
-        assert abs(out.hi - 1 / (2 * np.sqrt(2))) < 1e-6
-        assert abs(out.lo - 2 / (8 * np.sqrt(8))) < 1e-6
+        assert abs(hi - 1 / (2 * np.sqrt(2))) < 1e-6
+        assert abs(lo - 2 / (8 * np.sqrt(8))) < 1e-6
 
     def test_singular_box_rejected(self):
         with pytest.raises(SingularBox):
-            bound_kernel(KernelQuery(Interval(-1, 1), Interval(-1, 1), 1, 3))
-
-    def test_bad_exponents(self):
-        with pytest.raises(DomainError):
-            KernelQuery(Interval(1), Interval(0), 3, 2)
+            bound_one(-1, 1, -1, 1, 1, 3)
 
     def test_axis_swap(self):
-        qx = bound_kernel(KernelQuery(Interval(1, 2), Interval(3, 4), 1, 3, axis="X"))
-        qy = bound_kernel(KernelQuery(Interval(3, 4), Interval(1, 2), 1, 3, axis="Y"))
-        assert qx == qy
+        """The "Y" kernel of (dx, dy) is the "X" kernel of (dy, dx)."""
+        box = [np.array([v]) for v in (1.0, 2.0, 3.0, 4.0)]
+        lo, hi = bound_pair_kernels(*box, ((1, 3, "X"), (1, 3, "Y")))
+        assert (lo[0, 0], hi[0, 0]) == bound_one(1, 2, 3, 4, 1, 3)
+        assert (lo[1, 0], hi[1, 0]) == bound_one(3, 4, 1, 2, 1, 3)
 
 
 class TestOracleContainment:

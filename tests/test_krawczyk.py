@@ -7,9 +7,8 @@ import pytest
 from ccenum import krawczyk
 from ccenum import reduced as reduced_mod
 from ccenum.errors import SingularMidpoint
-from ccenum.interval import Interval, IntervalVector
+from ccenum.interval import Interval
 from ccenum.model import Masses
-from ccenum.reduced import ReducedBox
 from oracles import newton_polish, polish_listed
 from conftest import load_listed
 
@@ -26,52 +25,41 @@ def test_one_dimensional_formula():
     dF = Interval(2.0) * box
     K = x0 - C * Fx0 + (Interval(1.0) - C * dF) * (box - x0)
     assert abs(K.lo - 1.4071) < 1e-3 and abs(K.hi - 1.4214) < 1e-3
-    assert K.subset_of_interior(box)
+    assert box.lo < K.lo and K.hi < box.hi
     assert K.contains(np.sqrt(2.0))
 
 
 class TestOperator:
     def setup_method(self):
-        self.m = Masses.equal(3)
+        self.rctx = reduced_mod.reduced_ctx(Masses.equal(3))
         self.z = newton_polish(np.array([-D3, 0.0, D3]), 3)
 
     def test_contracts_near_zero(self):
-        box = ReducedBox(IntervalVector([Interval(v - 1e-4, v + 1e-4) for v in self.z]))
-        K = krawczyk.krawczyk_operator(self.z.tolist(), box, self.m)
-        for k, iv in enumerate(K):
-            assert iv.subset_of_interior(box.coords[k])
+        lo, hi = self.z - 1e-4, self.z + 1e-4
+        J = reduced_mod.jacobian_arrays(self.rctx, lo, hi)
+        C = krawczyk.midpoint_inverse(*J)
+        Klo, Khi = krawczyk.operator_arrays(self.rctx, self.z, lo, hi, C)
+        assert np.all(lo < Klo) and np.all(Khi < hi)
 
     def test_excludes_shifted_box(self):
         shifted = self.z + 0.05
-        box = ReducedBox(
-            IntervalVector([Interval(v - 5e-4, v + 5e-4) for v in shifted])
-        )
-        out = krawczyk.krawczyk_iterate(box, self.m)
+        out = krawczyk.iterate_arrays(self.rctx, shifted - 5e-4, shifted + 5e-4)
         assert out.tag == "no_zero"
 
     def test_large_box_fails(self):
-        box = ReducedBox(IntervalVector([Interval(v - 0.25, v + 0.25) for v in self.z]))
-        out = krawczyk.krawczyk_iterate(box, self.m)
+        out = krawczyk.iterate_arrays(self.rctx, self.z - 0.25, self.z + 0.25)
         assert out.tag == "failed"
 
     def test_unique_zero_on_small_box(self):
         zeq = newton_polish(np.array([-0.2886751346, 0.5, 0.5773502692]), 3)
-        box = ReducedBox(IntervalVector([Interval(v - 1e-4, v + 1e-4) for v in zeq]))
-        out = krawczyk.krawczyk_iterate(box, self.m)
+        lo, hi = zeq - 1e-4, zeq + 1e-4
+        out = krawczyk.iterate_arrays(self.rctx, lo, hi)
         assert out.tag == "unique_zero"
-        for k in range(3):
-            assert box.coords[k].lo < out.lo[k] and out.hi[k] < box.coords[k].hi
-
-    def test_x0_outside_rejected(self):
-        box = ReducedBox(IntervalVector([Interval(v - 1e-4, v + 1e-4) for v in self.z]))
-        with pytest.raises(ValueError):
-            krawczyk.krawczyk_operator((self.z + 1.0).tolist(), box, self.m)
+        assert np.all(lo < out.lo) and np.all(out.hi < hi)
 
     def test_collision_box_fails_cleanly(self):
-        box = ReducedBox(
-            IntervalVector([Interval(0.4, 0.6), Interval(-0.1, 0.1), Interval(0.45, 0.65)])
-        )
-        out = krawczyk.krawczyk_iterate(box, self.m)
+        lo, hi = np.array([0.4, -0.1, 0.45]), np.array([0.6, 0.1, 0.65])
+        out = krawczyk.iterate_arrays(self.rctx, lo, hi)
         assert out.tag == "failed"
 
 

@@ -1,11 +1,15 @@
 """Model operations: eliminated body, residual, scalars, distances, and
-the conservation identities on random point configurations."""
+the conservation identities on random point configurations.  The residual
+and the distances come from the array pipeline the search runs."""
 
 import math
 
 import numpy as np
 import pytest
 
+from ccenum import boxops as bxo
+from ccenum import model
+from ccenum import reduced as reduced_mod
 from ccenum.errors import CollisionPossible
 from ccenum.interval import Interval
 from ccenum.model import (
@@ -14,8 +18,6 @@ from ccenum.model import (
     Masses,
     cross,
     derive_last_body,
-    pairwise_distances,
-    residual_F,
     scalars,
 )
 from oracles import full_residual
@@ -32,6 +34,37 @@ def equilateral_config():
     return config_from_points([(-R3 / 2, -0.5), (R3, 0.0)])
 
 
+def full_residual_iv(c: ConfigurationBox, masses: Masses):
+    """Enclosures of q_i - accel_i for all n bodies, x and y interleaved,
+    from `model.accel_arrays`; None when a pair may collide (where
+    `reduced.residual_masked` reports the box not ok)."""
+    ctx = model.nbody_ctx(masses)
+    xlo, xhi, ylo, yhi = c.free_arrays()
+    d = model.pair_disp_arrays(ctx, xlo, xhi, ylo, yhi)
+    if np.any(model.pair_r2_arrays(*d)[0] <= 0.0):
+        return None
+    axlo, axhi, aylo, ayhi = model.accel_arrays(ctx, *d)
+    bxlo, bxhi, bylo, byhi = model.all_body_arrays(ctx, xlo, xhi, ylo, yhi)
+    fxlo, fxhi = bxo.isub(bxlo, bxhi, axlo, axhi)
+    fylo, fyhi = bxo.isub(bylo, byhi, aylo, ayhi)
+    out = []
+    for i in range(ctx.n):
+        out += [Interval(float(fxlo[i]), float(fxhi[i])), Interval(float(fylo[i]), float(fyhi[i]))]
+    return out
+
+
+def distances(c: ConfigurationBox, masses: Masses):
+    """{(i, j): distance enclosure} over the pairs i < j, as the battery
+    frame computes them."""
+    ctx = model.nbody_ctx(masses)
+    d = model.pair_disp_arrays(ctx, *c.free_arrays())
+    rlo, rhi = bxo.isqrt(*model.pair_r2_arrays(*d))
+    return {
+        (int(i), int(j)): Interval(float(lo), float(hi))
+        for i, j, lo, hi in zip(ctx.ii, ctx.jj, rlo, rhi)
+    }
+
+
 class TestMasses:
     def test_equal_encloses_exact(self):
         m = Masses.equal(3)
@@ -40,13 +73,13 @@ class TestMasses:
         assert m.equal_mass
 
     def test_from_floats(self):
-        m = Masses.from_floats([0.25, 0.75])
+        m = Masses([Interval(0.25), Interval(0.75)])
         assert not m.equal_mass
         assert m.total.contains(1.0)
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
-            Masses.from_floats([0.5, 0.0])
+            Masses([Interval(0.5), Interval(0.0)])
 
 
 class TestDeriveLast:
@@ -73,7 +106,7 @@ class TestDeriveLast:
 
 class TestResidual:
     def test_equilateral_is_zero(self):
-        F = residual_F(equilateral_config(), Masses.equal(3))
+        F = full_residual_iv(equilateral_config(), Masses.equal(3))
         for comp in F:
             assert comp.contains_zero()
             assert comp.width < 1e-13
@@ -81,19 +114,23 @@ class TestResidual:
     def test_collinear_is_zero(self):
         d = (5.0 / 12.0) ** (1.0 / 3.0)
         c = config_from_points([(-d, 0.0), (d, 0.0)])
-        F = residual_F(c, Masses.equal(3))
+        F = full_residual_iv(c, Masses.equal(3))
         for comp in F:
             assert comp.contains_zero()
 
     def test_scaled_excludes_zero(self):
         c = config_from_points([(-R3, -1.0), (2 * R3, 0.0)])
-        F = residual_F(c, Masses.equal(3))
+        F = full_residual_iv(c, Masses.equal(3))
         assert any(not comp.contains_zero() for comp in F)
 
     def test_collision_raises(self):
         c = config_from_points([(0.0, 0.0), (0.0, 0.0)])
+        assert full_residual_iv(c, Masses.equal(3)) is None
+        rctx = reduced_mod.reduced_ctx(Masses.equal(3))
+        z = np.zeros((1, 3))
+        assert reduced_mod.residual_masked(rctx, z, z)[2].tolist() == [False]
         with pytest.raises(CollisionPossible):
-            residual_F(c, Masses.equal(3))
+            reduced_mod.residual_arrays(rctx, z[0], z[0])
 
     def test_contains_point_residuals(self):
         rng = np.random.default_rng(31)
@@ -107,9 +144,8 @@ class TestResidual:
             ]
             c = ConfigurationBox(bodies)
             m = Masses.equal(n)
-            try:
-                F = residual_F(c, m)
-            except CollisionPossible:
+            F = full_residual_iv(c, m)
+            if F is None:
                 continue
             done += 1
             samp = pts + rng.uniform(-w, w, pts.shape)
@@ -131,9 +167,8 @@ class TestResidual:
             pts = rng.uniform(-1.5, 1.5, (n - 1, 2))
             c = config_from_points(pts)
             m = Masses.equal(n)
-            try:
-                F = residual_F(c, m)
-            except CollisionPossible:
+            F = full_residual_iv(c, m)
+            if F is None:
                 continue
             done += 1
             last = derive_last_body(c, m)
@@ -201,10 +236,9 @@ class TestScalars:
 class TestPairwiseDistances:
     def test_point_distance(self):
         c = config_from_points([(0.0, 0.0), (3.0, 4.0)])
-        D = pairwise_distances(c, Masses.equal(3))
+        D = distances(c, Masses.equal(3))
         assert D[0, 1].contains(5.0) and D[0, 1].width < 1e-13
-        assert D[1, 0] == D[0, 1]
-        assert D[0, 0] == Interval(0.0)
+        assert sorted(D) == [(0, 1), (0, 2), (1, 2)]
 
     def test_overlapping_boxes(self):
         c = ConfigurationBox(
@@ -213,11 +247,11 @@ class TestPairwiseDistances:
                 BodyBox(Interval(0.5, 1.5), Interval(0.5, 1.5)),
             ]
         )
-        D = pairwise_distances(c, Masses.equal(3))
+        D = distances(c, Masses.equal(3))
         assert D[0, 1].lo == 0.0
 
     def test_equilateral_unit_sides(self):
-        D = pairwise_distances(equilateral_config(), Masses.equal(3))
+        D = distances(equilateral_config(), Masses.equal(3))
         for i in range(3):
             for j in range(i + 1, 3):
                 assert D[i, j].contains(1.0)

@@ -1,20 +1,16 @@
-"""Reduced system: residual and Jacobian enclosures against independent
-finite-difference oracles, gauge validity, and box conversions."""
+"""Reduced system: residual and Jacobian enclosures (the array functions
+the search and the operator call) against independent finite-difference
+oracles, gauge validity, and box conversions."""
 
 import mpmath
 import numpy as np
 import pytest
 
 from ccenum import reduced as reduced_mod
+from ccenum.errors import CollisionPossible
 from ccenum.interval import Interval, IntervalVector
 from ccenum.model import Masses
-from ccenum.reduced import (
-    ReducedBox,
-    gauge_validity,
-    jacobian_entry,
-    reduced_jacobian,
-    reduced_residual,
-)
+from ccenum.reduced import ReducedBox, gauge_validity
 from oracles import fd_reduced_jacobian, reduced_residual as oracle_residual
 
 
@@ -22,29 +18,38 @@ def box_from_point(z, w=0.0):
     return ReducedBox(IntervalVector([Interval(v - w, v + w) for v in z]))
 
 
+def residual(z, w=0.0):
+    """`residual_arrays` on the box of half-width w around z, equal masses."""
+    z = np.asarray(z, dtype=float)
+    rctx = reduced_mod.reduced_ctx(Masses.equal(reduced_mod.n_for_dim(len(z))))
+    return reduced_mod.residual_arrays(rctx, z - w, z + w)
+
+
+def jacobian(z, w=0.0):
+    """`jacobian_arrays` on the box of half-width w around z, equal masses."""
+    z = np.asarray(z, dtype=float)
+    rctx = reduced_mod.reduced_ctx(Masses.equal(reduced_mod.n_for_dim(len(z))))
+    return reduced_mod.jacobian_arrays(rctx, z - w, z + w)
+
+
 D3 = (5.0 / 12.0) ** (1.0 / 3.0)
 
 
 class TestResidual:
     def test_collinear_zero(self):
-        rb = box_from_point([-D3, 0.0, D3])
-        out = reduced_residual(rb, Masses.equal(3))
-        for comp in out:
-            assert comp.contains_zero()
+        lo, hi = residual([-D3, 0.0, D3])
+        assert np.all(lo <= 0.0) and np.all(0.0 <= hi)
 
     def test_equilateral_zero(self):
         # the 10-digit coordinates carry ~1e-10 rounding, so enclose the
         # true zero with a slightly inflated box
-        rb = box_from_point([-0.2886751346, -0.5, 0.5773502692], 1e-9)
-        out = reduced_residual(rb, Masses.equal(3))
-        for comp in out:
-            assert comp.contains_zero()
-            assert comp.width < 1e-7
+        lo, hi = residual([-0.2886751346, -0.5, 0.5773502692], 1e-9)
+        assert np.all(lo <= 0.0) and np.all(0.0 <= hi)
+        assert np.all(hi - lo < 1e-7)
 
     def test_scaled_excludes_zero(self):
-        rb = box_from_point([-0.2886751346 * 1.1, -0.55, 0.5773502692 * 1.1])
-        out = reduced_residual(rb, Masses.equal(3))
-        assert any(not comp.contains_zero() for comp in out)
+        lo, hi = residual([-0.2886751346 * 1.1, -0.55, 0.5773502692 * 1.1])
+        assert np.any((lo > 0.0) | (hi < 0.0))
 
     def test_matches_float_oracle(self):
         rng = np.random.default_rng(11)
@@ -53,13 +58,12 @@ class TestResidual:
             n = int(rng.choice([3, 4, 5]))
             z = rng.uniform(-1.3, 1.3, 2 * (n - 1) - 1)
             try:
-                out = reduced_residual(box_from_point(z), Masses.equal(n))
-            except Exception:
+                lo, hi = residual(z)
+            except CollisionPossible:
                 continue
             done += 1
             exact = oracle_residual(z, n)
-            for k, comp in enumerate(out):
-                assert comp.lo <= exact[k] + 1e-9 and exact[k] <= comp.hi + 1e-9
+            assert np.all(lo <= exact + 1e-9) and np.all(exact <= hi + 1e-9)
 
     def test_refined_zero_has_small_residual(self):
         for n, seed in ((3, 1), (4, 2), (5, 3)):
@@ -69,9 +73,8 @@ class TestResidual:
             from oracles import polish_listed
 
             z, _ = polish_listed(pts)
-            out = reduced_residual(box_from_point(z), Masses.equal(n))
-            for comp in out:
-                assert max(abs(comp.lo), abs(comp.hi)) < 1e-10
+            lo, hi = residual(z)
+            assert np.all(np.maximum(np.abs(lo), np.abs(hi)) < 1e-10)
 
 
 def _well_separated(z, n, floor=0.3):
@@ -106,21 +109,15 @@ class TestJacobian:
 
     def test_fd_containment_boxes_n4(self):
         rng = np.random.default_rng(22)
-        m = Masses.equal(4)
         done = 0
         while done < 50:
             z = rng.uniform(-1.3, 1.3, 5)
             if not _well_separated(z, 4):
                 continue
-            w = rng.uniform(0, 5e-3)
-            rb = box_from_point(z, w)
-            J = reduced_jacobian(rb, m)
+            Jlo, Jhi = jacobian(z, rng.uniform(0, 5e-3))
             done += 1
             fd = fd_reduced_jacobian(z, 4, h=1e-6)
-            for r in range(5):
-                for c in range(5):
-                    iv = J[r, c]
-                    assert iv.lo - 1e-5 <= fd[r, c] <= iv.hi + 1e-5
+            assert np.all(Jlo - 1e-5 <= fd) and np.all(fd <= Jhi + 1e-5)
 
     def test_collinear_midpoint_invertible(self):
         from ccenum.krawczyk import midpoint_inverse
@@ -143,29 +140,23 @@ class TestJacobian:
         for (r1, c1), (r2, c2) in pairs:
             assert abs(Jlo[r1, c1] - Jlo[r2, c2]) < 1e-9
 
-    def test_entry_matches_matrix(self):
-        m = Masses.equal(4)
-        rb = box_from_point([-0.9, 0.3, 0.25, -0.8, 0.95], 1e-4)
-        J = reduced_jacobian(rb, m)
-        c = rb.to_configuration()
-        assert jacobian_entry(c, m, 2, 3) == J[2, 3]
-
     def test_point_jacobian_narrow(self):
-        m = Masses.equal(3)
-        rb = box_from_point([-D3, 0.0, D3])
-        J = reduced_jacobian(rb, m)
-        for r in range(3):
-            for c in range(3):
-                iv = J[r, c]
-                assert iv.width <= 1e-12 * max(1.0, abs(iv.mid))
+        Jlo, Jhi = jacobian([-D3, 0.0, D3])
+        mid = Jlo + 0.5 * (Jhi - Jlo)
+        assert np.all(Jhi - Jlo <= 1e-12 * np.maximum(1.0, np.abs(mid)))
 
 
 class TestGaugeAndConversions:
     def test_round_trip(self):
-        rb = box_from_point([-0.7, 0.2, 0.9], 1e-3)
-        back = ReducedBox.from_configuration(rb.to_configuration())
-        for a, b in zip(rb.coords, back.coords):
-            assert a == b
+        """The configuration of a reduced box has the free-body arrays the
+        search derives from the box, body n-2 pinned to y = 0."""
+        rb = box_from_point([-0.7, 0.2, -0.4, -0.1, 0.9], 1e-3)
+        got = rb.to_configuration().free_arrays()
+        lo, hi = rb.arrays()
+        want = reduced_mod.box_to_free_arrays(lo, hi, 4)
+        for a, b in zip(got, want):
+            assert a.tolist() == b.tolist()
+        assert ReducedBox.from_arrays(lo, hi).coords.entries == rb.coords.entries
 
     def test_gauge_validity_collinear(self):
         rb = box_from_point([-D3, 0.0, D3], 1e-6)

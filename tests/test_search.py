@@ -26,8 +26,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(n=4, bias=1e-6)  # bias must exceed eps
         with pytest.raises(ValueError):
-            SearchConfig(n=4, overlap=0.0)  # rigorous mode needs interior coverage
-        SearchConfig(n=4, overlap=0.0, rigorous=False)
+            SearchConfig(n=4, overlap=0.0)  # the proof needs interior coverage
 
 
 class TestInitialDomain:
@@ -62,8 +61,8 @@ class TestBisect:
         box = ReducedBox(IntervalVector([Interval(0, 1), Interval(0, 1), Interval(0, 1)]))
         with pytest.raises(ValueError):
             bisect_with_overlap(box, 0, 0.0)
-        left, right = bisect_with_overlap(box, 0, 0.0, allow_zero=True)
-        assert left.coords[0].hi == right.coords[0].lo == 0.5
+        (_, lhi), (rlo, _) = search_mod.split(*box.arrays(), 0, 0.0)
+        assert lhi[0] == rlo[0] == 0.5
 
     def test_zero_width_rejected(self):
         box = ReducedBox(IntervalVector([Interval(0, 0), Interval(0, 1), Interval(0, 1)]))
@@ -180,7 +179,7 @@ class TestSearchRuns:
         from ccenum.errors import RefusedUnequalMasses
 
         cfg = SearchConfig(n=3)
-        m = Masses.from_floats([0.5, 0.3, 0.2])
+        m = Masses([Interval(0.5), Interval(0.3), Interval(0.2)])
         with pytest.raises(RefusedUnequalMasses):
             search(initial_domain(cfg), cfg, m)
 
