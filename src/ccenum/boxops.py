@@ -122,44 +122,6 @@ def mid_rad(alo, ahi):
     return mid, rad
 
 
-def imatvec_point(C: np.ndarray, vlo: np.ndarray, vhi: np.ndarray):
-    """Enclosure of C @ v for an exact float matrix C and interval vector v."""
-    mid, rad = mid_rad(vlo, vhi)
-    k = C.shape[1]
-    gamma = (k + 2) * _U / (1.0 - (k + 2) * _U)
-    absC = np.abs(C)
-    center = C @ mid
-    err = absC @ rad + gamma * (absC @ (np.abs(mid) + rad))
-    err = err * _BUF + _TINY
-    return _dn(center - err), _up(center + err)
-
-
-def imatmul_point(C: np.ndarray, Alo: np.ndarray, Ahi: np.ndarray):
-    """Enclosure of C @ A for an exact float matrix C and interval matrix A."""
-    mid, rad = mid_rad(Alo, Ahi)
-    k = C.shape[1]
-    gamma = (k + 2) * _U / (1.0 - (k + 2) * _U)
-    absC = np.abs(C)
-    center = C @ mid
-    err = absC @ rad + gamma * (absC @ (np.abs(mid) + rad))
-    err = err * _BUF + _TINY
-    return _dn(center - err), _up(center + err)
-
-
-def imatvec_iv(Mlo, Mhi, vlo, vhi):
-    """Enclosure of M @ v for interval matrix M and interval vector v."""
-    Am, Ar = mid_rad(Mlo, Mhi)
-    vm, vr = mid_rad(vlo, vhi)
-    k = Am.shape[1]
-    gamma = (k + 2) * _U / (1.0 - (k + 2) * _U)
-    absA = np.abs(Am)
-    absv = np.abs(vm)
-    center = Am @ vm
-    err = absA @ vr + Ar @ (absv + vr) + gamma * ((absA + Ar) @ (absv + vr))
-    err = err * _BUF + _TINY
-    return _dn(center - err), _up(center + err)
-
-
 def _bmv(A, v):
     # batched matrix-vector product, (B,d,d) @ (B,d) -> (B,d)
     return np.einsum("bij,bj->bi", A, v)

@@ -21,6 +21,7 @@ from . import krawczyk, model
 from . import reduced as reduced_mod
 from .interval import Interval
 from .model import Masses
+from .reduced import ReducedBox
 from .search import SolutionBox
 
 MAX_PAIRINGS = 40320  # 8!; beyond this the enumeration reports incompleteness
@@ -71,11 +72,12 @@ class CCRecord:
 # geometry on full configurations (lists of (Interval, Interval) per body)
 
 
-def full_bodies(s: SolutionBox, masses: Masses) -> list[tuple[Interval, Interval]]:
-    out = [(b.x, b.y) for b in s.full.bodies]
-    last = model.derive_last_body(s.full, masses)
-    out.append((last.x, last.y))
-    return out
+def full_bodies(box: ReducedBox, masses: Masses) -> list[tuple[Interval, Interval]]:
+    """Positions of all n bodies of a reduced box, the derived last body
+    included and body n-2 pinned to y = 0."""
+    free = reduced_mod.box_to_free_arrays(box.lo, box.hi, masses.n)
+    bxlo, bxhi, bylo, byhi = model.all_body_arrays(model.nbody_ctx(masses), *free)
+    return list(zip(bxo.unpack(bxlo, bxhi), bxo.unpack(bylo, byhi)))
 
 
 def _radius(b: tuple[Interval, Interval]) -> Interval:
@@ -292,8 +294,8 @@ def same_solution(a: SolutionBox, b: SolutionBox, masses: Masses, max_tries: int
         return True
     rctx = reduced_mod.reduced_ctx(masses)
     za = a.reduced.arrays()
-    bodies_a = full_bodies(a, masses)
-    bodies_b = full_bodies(b, masses)
+    bodies_a = full_bodies(a.reduced, masses)
+    bodies_b = full_bodies(b.reduced, masses)
     tried = 0
     for sigma in candidate_pairings(bodies_b, bodies_a, cap=max_tries):
         inv = [0] * len(sigma)
@@ -356,7 +358,7 @@ def symmetry_check(s: SolutionBox, masses: Masses) -> SymmetryResult:
     asymmetry for a certified solution."""
     rctx = reduced_mod.reduced_ctx(masses)
     n = masses.n
-    bodies = full_bodies(s, masses)
+    bodies = full_bodies(s.reduced, masses)
     ox_perm = _try_axis(rctx, s, masses, reflect_ox(bodies), bodies)
     line = None
     for i in range(n):
@@ -406,7 +408,7 @@ def detect_collinear(s: SolutionBox, masses: Masses) -> bool:
     with the identity permutation must certify as the same zero, forcing
     each y to vanish exactly.
     """
-    bodies = full_bodies(s, masses)
+    bodies = full_bodies(s.reduced, masses)
     if any(not y.contains_zero() for _, y in bodies):
         return False
     rctx = reduced_mod.reduced_ctx(masses)

@@ -129,7 +129,8 @@ def cmd_verify(args) -> int:
                 (outdir / f"candidate_{res.index}.svg").write_text(
                     report_mod.render_svg(rec, res.masses)
                 )
-    return 0 if all(r.certified for r in results) else 1
+    proof = all(r.certified and r.solution.gauge_valid for r in results)
+    return 0 if proof else 1
 
 
 def cmd_bench(args) -> int:

@@ -13,16 +13,13 @@ class ShapeError(ValueError):
     """Interval matrix/vector shapes do not conform."""
 
 
-class EmptyIntervalError(ValueError):
-    """Arithmetic attempted on the empty interval."""
-
-
 class CollisionPossible(ValueError):
     """A pairwise distance enclosure contains zero, so the expression is singular on the box."""
 
 
 class SingularMidpoint(ValueError):
-    """Midpoint Jacobian failed LU with partial pivoting (pivot below threshold)."""
+    """Midpoint Jacobian is zero, not finite, singular to `np.linalg.inv` or
+    so ill-conditioned that its inverse exceeds `krawczyk.GROWTH_MAX`."""
 
 
 class RefusedUnequalMasses(ValueError):

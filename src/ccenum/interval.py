@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DomainError,
-    EmptyIntervalError,
     IntervalDivisionError,
     ShapeError,
 )
@@ -115,13 +114,9 @@ def _sqrt_up(a: float) -> float:
 
 
 class Interval:
-    """Closed interval [lo, hi] with outward-rounded arithmetic.
+    """Closed nonempty interval [lo, hi] with outward-rounded arithmetic."""
 
-    The empty interval is an explicit tagged state (`Interval.empty()`),
-    never a lo > hi encoding; arithmetic on it raises.
-    """
-
-    __slots__ = ("lo", "hi", "_empty")
+    __slots__ = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float | None = None):
         if hi is None:
@@ -134,15 +129,6 @@ class Interval:
             raise ValueError(f"lo > hi: [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
-        self._empty = False
-
-    @classmethod
-    def empty(cls) -> "Interval":
-        iv = cls.__new__(cls)
-        iv.lo = math.nan
-        iv.hi = math.nan
-        iv._empty = True
-        return iv
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "Interval":
@@ -152,26 +138,16 @@ class Interval:
         hi = x if Fraction(x) >= f else _next_up(x)
         return cls(lo, hi)
 
-    # -- state ------------------------------------------------------------
-
-    def _check(self) -> None:
-        if self._empty:
-            raise EmptyIntervalError("arithmetic on empty interval")
-
     def __repr__(self) -> str:
-        if self._empty:
-            return "Interval.empty()"
         return f"Interval({self.lo!r}, {self.hi!r})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Interval):
             return NotImplemented
-        if self._empty or other._empty:
-            return self._empty and other._empty
         return self.lo == other.lo and self.hi == other.hi
 
     def __hash__(self) -> int:
-        return hash((self._empty, self.lo, self.hi))
+        return hash((self.lo, self.hi))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -183,20 +159,15 @@ class Interval:
 
     def __add__(self, other) -> "Interval":
         other = self._coerce(other)
-        self._check()
-        other._check()
         return Interval(_add_down(self.lo, other.lo), _add_up(self.hi, other.hi))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
-        self._check()
         return Interval(-self.hi, -self.lo)
 
     def __sub__(self, other) -> "Interval":
         other = self._coerce(other)
-        self._check()
-        other._check()
         return Interval(_add_down(self.lo, -other.hi), _add_up(self.hi, -other.lo))
 
     def __rsub__(self, other) -> "Interval":
@@ -204,8 +175,6 @@ class Interval:
 
     def __mul__(self, other) -> "Interval":
         other = self._coerce(other)
-        self._check()
-        other._check()
         pairs = (
             (self.lo, other.lo),
             (self.lo, other.hi),
@@ -221,8 +190,6 @@ class Interval:
 
     def __truediv__(self, other) -> "Interval":
         other = self._coerce(other)
-        self._check()
-        other._check()
         if other.lo <= 0.0 <= other.hi:
             raise IntervalDivisionError(f"divisor {other!r} contains zero")
         pairs = (
@@ -242,7 +209,6 @@ class Interval:
     # -- elementary functions ------------------------------------------------
 
     def sqrt(self) -> "Interval":
-        self._check()
         if self.hi < 0.0:
             raise DomainError(f"sqrt of {self!r}")
         lo = max(self.lo, 0.0)
@@ -250,7 +216,6 @@ class Interval:
 
     def sqr(self) -> "Interval":
         """Exact image of x**2 (even-power symmetry handled)."""
-        self._check()
         a = min(_mul_down(self.lo, self.lo), _mul_down(self.hi, self.hi))
         b = max(_mul_up(self.lo, self.lo), _mul_up(self.hi, self.hi))
         if self.lo <= 0.0 <= self.hi:
@@ -258,7 +223,6 @@ class Interval:
         return Interval(a, b)
 
     def pow_int(self, k: int) -> "Interval":
-        self._check()
         if k < 0:
             raise DomainError("pow_int exponent must be >= 0")
         if k == 0:
@@ -271,7 +235,6 @@ class Interval:
         return Interval(_pow_down(self.lo, k), _pow_up(self.hi, k))
 
     def __abs__(self) -> "Interval":
-        self._check()
         if self.lo >= 0.0:
             return Interval(self.lo, self.hi)
         if self.hi <= 0.0:
@@ -281,21 +244,18 @@ class Interval:
     # -- set operations --------------------------------------------------------
 
     def contains_zero(self) -> bool:
-        return (not self._empty) and self.lo <= 0.0 <= self.hi
+        return self.lo <= 0.0 <= self.hi
 
     def contains(self, x: float) -> bool:
-        return (not self._empty) and self.lo <= x <= self.hi
+        return self.lo <= x <= self.hi
 
     def disjoint(self, other: "Interval") -> bool:
-        if self._empty or other._empty:
-            return True
         return self.hi < other.lo or other.hi < self.lo
 
     # -- metrics ---------------------------------------------------------------
 
     @property
     def mid(self) -> float:
-        self._check()
         m = 0.5 * (self.lo + self.hi)
         if not math.isfinite(m):
             m = 0.5 * self.lo + 0.5 * self.hi
@@ -307,11 +267,9 @@ class Interval:
 
     @property
     def width(self) -> float:
-        self._check()
         return _add_up(self.hi, -self.lo)
 
     def inflate(self, delta: float) -> "Interval":
-        self._check()
         return Interval(_add_down(self.lo, -delta), _add_up(self.hi, delta))
 
 
@@ -322,38 +280,8 @@ def interval_sum(items: Iterable[Interval]) -> Interval:
     return total
 
 
-class IntervalVector:
-    """Fixed-length sequence of intervals with componentwise operations."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Sequence[Interval]):
-        self.entries = list(entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> Interval:
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __repr__(self) -> str:
-        return f"IntervalVector({self.entries!r})"
-
-    def mid(self) -> list[float]:
-        return [e.mid for e in self.entries]
-
-    def diam(self) -> list[float]:
-        return [e.width for e in self.entries]
-
-    def max_diam(self) -> float:
-        return max(self.diam())
-
-
 class IntervalMatrix:
-    """Row-major grid of intervals; square for all solver uses."""
+    """Row-major grid of intervals: the scalar reference for `boxops.bmatvec_iv`."""
 
     __slots__ = ("rows",)
 
@@ -371,28 +299,11 @@ class IntervalMatrix:
     def __getitem__(self, idx: tuple[int, int]) -> Interval:
         return self.rows[idx[0]][idx[1]]
 
-    def matvec(self, v: IntervalVector) -> IntervalVector:
+    def matvec(self, v: Sequence[Interval]) -> list[Interval]:
         m, k = self.shape
         if k != len(v):
             raise ShapeError(f"matvec shapes {self.shape} x {len(v)}")
-        return IntervalVector(
-            [interval_sum(self.rows[i][j] * v[j] for j in range(k)) for i in range(m)]
-        )
-
-    def matmul(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        m, k = self.shape
-        k2, p = other.shape
-        if k != k2:
-            raise ShapeError(f"matmul shapes {self.shape} x {other.shape}")
-        return IntervalMatrix(
-            [
-                [
-                    interval_sum(self.rows[i][t] * other.rows[t][j] for t in range(k))
-                    for j in range(p)
-                ]
-                for i in range(m)
-            ]
-        )
+        return [interval_sum(self.rows[i][j] * v[j] for j in range(k)) for i in range(m)]
 
     @classmethod
     def identity(cls, m: int) -> "IntervalMatrix":

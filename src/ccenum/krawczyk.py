@@ -7,9 +7,11 @@ disjoint from the box proves none; otherwise the intersection K cap [x]
 still contains every zero of the box and is kept as a refinement.
 
 `Iteration` holds boxes in flight and applies one operator step to a
-batch of them per call, so the search can keep adding boxes while older
-ones still iterate; `iterate_batch` adds a batch and steps until every
-box has an outcome.
+batch of them per call; it is the one implementation of the operator.
+The search keeps adding boxes while older ones still iterate;
+`iterate_batch` adds a batch and steps until every box has an outcome,
+`iterate_arrays` does so for one box, and `contract` repeats single
+steps to tighten a certified box.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import boxops as bxo
 from . import reduced as reduced_mod
-from .errors import CollisionPossible, SingularMidpoint
+from .errors import SingularMidpoint
 
 # C is rejected when max|C| * max|mid| exceeds this: the midpoint is then
 # numerically singular, and a Krawczyk step with such a C cannot contract
@@ -64,29 +66,12 @@ def midpoint_inverse_batch(Jlo: np.ndarray, Jhi: np.ndarray):
 
 
 def midpoint_inverse(Jlo: np.ndarray, Jhi: np.ndarray) -> np.ndarray:
-    """Approximate inverse of one midpoint matrix; raises SingularMidpoint."""
+    """Approximate inverse of one midpoint matrix; raises SingularMidpoint.
+    The operator itself uses `midpoint_inverse_batch`."""
     C, ok = midpoint_inverse_batch(Jlo[None], Jhi[None])
     if not ok[0]:
         raise SingularMidpoint("midpoint Jacobian is zero, not finite or numerically singular")
     return C[0]
-
-
-def operator_arrays(rctx, x0: np.ndarray, zlo: np.ndarray, zhi: np.ndarray, C: np.ndarray, J=None):
-    """Enclosure of K(x0, [z]); raises CollisionPossible on singular boxes.
-
-    `J` may carry a precomputed Jacobian enclosure (Jlo, Jhi) for the box.
-    """
-    Flo, Fhi = reduced_mod.residual_arrays(rctx, x0, x0)
-    Jlo, Jhi = J if J is not None else reduced_mod.jacobian_arrays(rctx, zlo, zhi)
-    CFlo, CFhi = bxo.imatvec_point(C, Flo, Fhi)
-    CJlo, CJhi = bxo.imatmul_point(C, Jlo, Jhi)
-    d = len(x0)
-    eye = np.eye(d)
-    Mlo, Mhi = bxo.isub(eye, eye, CJlo, CJhi)
-    dzlo, dzhi = bxo.isub(zlo, zhi, x0, x0)
-    Klo, Khi = bxo.imatvec_iv(Mlo, Mhi, dzlo, dzhi)
-    Klo, Khi = bxo.isub(Klo, Khi, CFlo, CFhi)
-    return bxo.iadd(x0, x0, Klo, Khi)
 
 
 class Iteration:
@@ -235,27 +220,18 @@ def iterate_arrays(rctx, zlo, zhi, max_iter: int = 16) -> KrawczykOutcome:
 
 
 def contract(rctx, zlo, zhi, tol: float = 1e-13, max_iter: int = 40):
-    """Shrink a certified box toward its zero by repeated intersection.
+    """Shrink a certified box toward its zero by repeated single operator
+    steps, each kept while it certifies or refines the box.
 
     Zeros are preserved by every step, so the result is a valid (and
     usually much tighter) enclosure of the same unique zero.
     """
-    cur_lo, cur_hi = zlo.copy(), zhi.copy()
+    lo, hi = zlo, zhi
     for _ in range(max_iter):
-        if np.max(cur_hi - cur_lo) < tol:
+        if np.max(hi - lo) < tol:
             break
-        try:
-            J = reduced_mod.jacobian_arrays(rctx, cur_lo, cur_hi)
-            C = midpoint_inverse(*J)
-            x0 = cur_lo + 0.5 * (cur_hi - cur_lo)
-            Klo, Khi = operator_arrays(rctx, x0, cur_lo, cur_hi, C, J=J)
-        except (CollisionPossible, SingularMidpoint):
+        out = iterate_arrays(rctx, lo, hi, max_iter=1)
+        if out.tag != "unique_zero" and not out.refined:
             break
-        new_lo = np.maximum(Klo, cur_lo)
-        new_hi = np.minimum(Khi, cur_hi)
-        if np.any(new_lo > new_hi):
-            break
-        if not (np.any(new_lo > cur_lo) or np.any(new_hi < cur_hi)):
-            break
-        cur_lo, cur_hi = new_lo, new_hi
-    return cur_lo, cur_hi
+        lo, hi = out.lo, out.hi
+    return lo, hi

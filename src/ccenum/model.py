@@ -1,6 +1,6 @@
-"""Physical model: masses, configuration boxes, the batched acceleration
-arrays of the residual and the derived scalars (potential, moment of
-inertia, scale invariant, Moeckel's potential).
+"""Physical model: masses, the batched acceleration arrays of the residual
+and the derived scalars (potential, moment of inertia, scale invariant,
+Moeckel's potential).
 
 Positions are dimensionless: the proportionality constant of the central
 force balance is fixed to 1 and the center of mass sits at the origin, so
@@ -64,14 +64,6 @@ class Masses:
 
 
 @dataclass(frozen=True)
-class BodyBox:
-    """Interval position of one body."""
-
-    x: Interval
-    y: Interval
-
-
-@dataclass(frozen=True)
 class ScalarEnclosures:
     """Certified enclosures of the configuration scalars."""
 
@@ -79,29 +71,6 @@ class ScalarEnclosures:
     I: Interval
     J: Interval
     P_moeckel: Interval
-
-
-class ConfigurationBox:
-    """Positions of the n-1 free bodies; the last body is derived on demand.
-
-    In reduced-gauge mode body n-2 has its y pinned to [0, 0].
-    """
-
-    __slots__ = ("bodies",)
-
-    def __init__(self, bodies):
-        self.bodies = list(bodies)
-        if len(self.bodies) < 2:
-            raise ValueError("need at least two free bodies")
-
-    @property
-    def n(self) -> int:
-        return len(self.bodies) + 1
-
-    def free_arrays(self):
-        xlo, xhi = bxo.pack([b.x for b in self.bodies])
-        ylo, yhi = bxo.pack([b.y for b in self.bodies])
-        return xlo, xhi, ylo, yhi
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +242,14 @@ def accel_arrays(ctx: _Ctx, dxlo, dxhi, dylo, dyhi, pair_mask=None):
 # public operations
 
 
-def derive_last_body(c: ConfigurationBox, masses: Masses) -> BodyBox:
-    """Interval enclosure of the eliminated body -(1/m_last) sum m_i q_i."""
-    ctx = nbody_ctx(masses)
-    xlo, xhi, ylo, yhi = c.free_arrays()
-    dxlo, dxhi, dylo, dyhi = derived_last_arrays(ctx, xlo, xhi, ylo, yhi)
-    return BodyBox(Interval(float(dxlo), float(dxhi)), Interval(float(dylo), float(dyhi)))
-
-
-def scalars(c: ConfigurationBox, masses: Masses) -> ScalarEnclosures:
-    """Enclosures of U, I, J = U sqrt(I)/M^(5/2) and Moeckel's potential.
+def scalars(xlo, xhi, ylo, yhi, masses: Masses) -> ScalarEnclosures:
+    """Enclosures of U, I, J = U sqrt(I)/M^(5/2) and Moeckel's potential
+    from the free-body coordinate arrays, shape (n-1,).
 
     Moeckel's potential is U sqrt(I) evaluated with all masses set to 1,
     which equals the potential after rescaling to unit masses and I = 1.
     """
     ctx = nbody_ctx(masses)
-    xlo, xhi, ylo, yhi = c.free_arrays()
     d = pair_disp_arrays(ctx, xlo, xhi, ylo, yhi)
     r2lo, r2hi = pair_r2_arrays(*d)
     if np.any(r2lo <= 0.0):

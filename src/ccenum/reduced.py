@@ -18,9 +18,7 @@ import numpy as np
 
 from . import boxops as bxo
 from . import kernels, model
-from .errors import CollisionPossible
-from .interval import Interval, IntervalVector
-from .model import ConfigurationBox, BodyBox, Masses
+from .model import Masses
 
 
 def dim_for(n: int) -> int:
@@ -34,32 +32,33 @@ def n_for_dim(d: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedBox:
-    """Search-space element (x0, y0, ..., x_{n-3}, y_{n-3}, x_{n-2})."""
+    """Search-space element (x0, y0, ..., x_{n-3}, y_{n-3}, x_{n-2}) as
+    float64 bound arrays; build it with `from_arrays`, read it with `arrays`."""
 
-    coords: IntervalVector
-
-    def __post_init__(self):
-        n_for_dim(len(self.coords))
-
-    @property
-    def n(self) -> int:
-        return n_for_dim(len(self.coords))
+    lo: np.ndarray
+    hi: np.ndarray
 
     def arrays(self):
-        return bxo.pack(self.coords)
+        """Copies of the bounds, so no caller can change the box."""
+        return self.lo.copy(), self.hi.copy()
 
     @classmethod
     def from_arrays(cls, lo, hi) -> "ReducedBox":
-        return cls(IntervalVector(bxo.unpack(lo, hi)))
+        """Box of copies of `lo` and `hi`; raises ValueError unless they are
+        1-D of one shape and a dimension some n gives, NaN free, lo <= hi."""
+        lo = np.array(lo, dtype=np.float64)
+        hi = np.array(hi, dtype=np.float64)
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError(f"box bounds need one 1-D shape, got {lo.shape} and {hi.shape}")
+        n_for_dim(len(lo))
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("box bound is NaN")
+        if np.any(lo > hi):
+            raise ValueError("box has lo > hi")
+        return cls(lo, hi)
 
-    def to_configuration(self) -> ConfigurationBox:
-        n = self.n
-        zero = Interval(0.0)
-        bodies = [BodyBox(self.coords[2 * i], self.coords[2 * i + 1]) for i in range(n - 2)]
-        bodies.append(BodyBox(self.coords[2 * n - 4], zero))
-        return ConfigurationBox(bodies)
 
 # ---------------------------------------------------------------------------
 # vectorized core
@@ -151,14 +150,6 @@ def residual_masked(rctx: _RCtx, zlo, zhi):
     return out_lo, out_hi, ok
 
 
-def residual_arrays(rctx: _RCtx, zlo, zhi):
-    """Enclosure of the reduced residual; raises CollisionPossible."""
-    out_lo, out_hi, ok = residual_masked(rctx, zlo, zhi)
-    if not np.all(ok):
-        raise CollisionPossible("reduced residual undefined: possible collision")
-    return out_lo, out_hi
-
-
 def jacobian_masked(rctx: _RCtx, zlo, zhi):
     """Reduced Jacobian enclosures for a batch of boxes, shape (B, d).
 
@@ -224,20 +215,12 @@ def jacobian_masked(rctx: _RCtx, zlo, zhi):
     return Jlo, Jhi, ok
 
 
-def jacobian_arrays(rctx: _RCtx, zlo, zhi):
-    """Single-box Jacobian enclosure; raises CollisionPossible."""
-    Jlo, Jhi, ok = jacobian_masked(rctx, zlo[None, :], zhi[None, :])
-    if not ok[0]:
-        raise CollisionPossible("jacobian undefined: possible collision")
-    return Jlo[0], Jhi[0]
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def gauge_validity(c: ConfigurationBox, masses: Masses) -> bool:
+def gauge_validity(zlo, zhi, masses: Masses) -> bool:
     """True iff the x enclosures of body n-2 and the derived body are disjoint."""
-    pinned_x = c.bodies[-1].x
-    derived = model.derive_last_body(c, masses)
-    return pinned_x.disjoint(derived.x)
+    free = box_to_free_arrays(zlo, zhi, masses.n)
+    dlo, dhi, _, _ = model.derived_last_arrays(model.nbody_ctx(masses), *free)
+    return bool(zhi[-1] < dlo or dhi < zlo[-1])

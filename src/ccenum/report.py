@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from . import model
-from .classify import CCRecord
-from .interval import Interval, IntervalVector
+from . import reduced as reduced_mod
+from .classify import CCRecord, full_bodies
+from .interval import Interval
 from .model import Masses
 from .reduced import ReducedBox
-from .search import SearchConfig, SearchStats, SolutionBox
+from .search import SearchConfig, SearchStats, SolutionBox, make_solution
 
 
 def g10(x: float) -> str:
@@ -54,12 +54,10 @@ def render_search_report(
     out.append(f"Accuracy eps = {cfg.eps:g}, bias = {cfg.bias:g}")
     out.append("")
     out.append("Input data:")
-    conf = domain.to_configuration()
-    last = model.derive_last_body(conf, masses)
-    bodies = list(conf.bodies) + [last]
-    for i, b in enumerate(bodies):
+    bodies = full_bodies(domain, masses)
+    for i, (x, y) in enumerate(bodies):
         m = masses.values[i]
-        out.append(f"i: {i} X: {fmt_iv(b.x)} Y: {fmt_iv(b.y)} mass: {fmt_iv(m)}")
+        out.append(f"i: {i} X: {fmt_iv(x)} Y: {fmt_iv(y)} mass: {fmt_iv(m)}")
     out.append("")
     out.append("")
     out.append(f"The number of undecided cubes: {stats.undecided}")
@@ -106,10 +104,8 @@ def render_search_report(
 
 
 def _render_record_block(rec: CCRecord, masses: Masses) -> list[str]:
-    from . import classify
-
     s = rec.representative
-    bodies = classify.full_bodies(s, masses)
+    bodies = full_bodies(s.reduced, masses)
     lines = []
     for i, (x, y) in enumerate(bodies):
         lines.append(f"i: {i} X: {fmt_iv(x)} Y: {fmt_iv(y)}")
@@ -173,16 +169,13 @@ def _iv_hex(iv: Interval) -> list[str]:
     return [float.hex(iv.lo), float.hex(iv.hi)]
 
 
-def _iv_unhex(pair) -> Interval:
-    return Interval(float.fromhex(pair[0]), float.fromhex(pair[1]))
-
-
 def dump_solutions(solutions: Iterable[SolutionBox], masses: Masses) -> str:
     lines = []
     for s in solutions:
+        lo, hi = s.reduced.arrays()
         rec = {
             "n": masses.n,
-            "reduced": [_iv_hex(iv) for iv in s.reduced.coords],
+            "reduced": [[a.hex(), b.hex()] for a, b in zip(lo.tolist(), hi.tolist())],
             "scalars": {
                 "U": _iv_hex(s.scalars.U),
                 "I": _iv_hex(s.scalars.I),
@@ -196,18 +189,17 @@ def dump_solutions(solutions: Iterable[SolutionBox], masses: Masses) -> str:
 
 
 def load_solutions(text: str, masses: Masses) -> list[SolutionBox]:
-    from .search import make_solution
-    from . import reduced as reduced_mod
-
+    """Solutions from `dump_solutions` text, re-derived from their boxes;
+    raises ValueError on a box `ReducedBox.from_arrays` refuses."""
     rctx = reduced_mod.reduced_ctx(masses)
     out = []
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
-        rec = json.loads(line)
-        box = ReducedBox(IntervalVector([_iv_unhex(p) for p in rec["reduced"]]))
-        lo, hi = box.arrays()
+        pairs = json.loads(line)["reduced"]
+        lo = [float.fromhex(a) for a, _ in pairs]
+        hi = [float.fromhex(b) for _, b in pairs]
         out.append(make_solution(rctx, lo, hi, masses))
     return out
 
@@ -219,9 +211,7 @@ def load_solutions(text: str, masses: Masses) -> list[SolutionBox]:
 def render_svg(rec: CCRecord, masses: Masses, size: int = 360) -> str:
     """One figure per configuration: bodies as dots, certified symmetry
     lines in red, the derived body included (non-normative styling)."""
-    from . import classify
-
-    bodies = classify.full_bodies(rec.representative, masses)
+    bodies = full_bodies(rec.representative.reduced, masses)
     pts = [(x.mid, y.mid) for x, y in bodies]
     span = max(max(abs(px), abs(py)) for px, py in pts) * 1.25 + 1e-9
     scale = size / (2 * span)

@@ -22,12 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import boxops as bxo
 from . import bounds as bounds_mod
 from . import exclusion, krawczyk, model
 from . import reduced as reduced_mod
 from .errors import RefusedUnequalMasses
-from .interval import Interval
 from .model import Masses, ScalarEnclosures
 from .reduced import ReducedBox
 
@@ -81,7 +79,6 @@ class SolutionBox:
     """A Krawczyk-certified box with exactly one central configuration."""
 
     reduced: ReducedBox
-    full: model.ConfigurationBox
     scalars: ScalarEnclosures
     gauge_valid: bool
 
@@ -91,15 +88,15 @@ def initial_domain(cfg: SearchConfig) -> ReducedBox:
     n = cfg.n
     span = float(n - 1)
     pad = 1e-3 * span
-    entries: list[Interval] = [Interval(-span - pad, 0.0 + pad), Interval(0.0 - pad, span + pad)]
-    for i in range(1, n - 2):
-        entries.append(Interval(-span - pad, span + pad))
-        if i == 1:
-            entries.append(Interval(-span - pad, 0.0 + pad))
-        else:
-            entries.append(Interval(-span - pad, span + pad))
-    entries.append(Interval(0.5 - pad, span + pad))
-    return ReducedBox.from_arrays(*bxo.pack(entries))
+    lo = np.full(reduced_mod.dim_for(n), -span - pad)
+    hi = np.full(reduced_mod.dim_for(n), span + pad)
+    # x0 <= 0 <= y0, y1 <= 0 and x_{n-2} >= 1/2
+    hi[0] = pad
+    lo[1] = -pad
+    if n > 3:
+        hi[3] = pad
+    lo[-1] = 0.5 - pad
+    return ReducedBox.from_arrays(lo, hi)
 
 
 def split(lo: np.ndarray, hi: np.ndarray, coord: int, overlap: float):
@@ -131,10 +128,9 @@ def bisect_with_overlap(
 
 def make_solution(rctx, Klo, Khi, masses: Masses) -> SolutionBox:
     rb = ReducedBox.from_arrays(Klo, Khi)
-    full = rb.to_configuration()
-    sc = model.scalars(full, masses)
-    gv = reduced_mod.gauge_validity(full, masses)
-    return SolutionBox(reduced=rb, full=full, scalars=sc, gauge_valid=gv)
+    sc = model.scalars(*reduced_mod.box_to_free_arrays(rb.lo, rb.hi, masses.n), masses)
+    gv = reduced_mod.gauge_validity(rb.lo, rb.hi, masses)
+    return SolutionBox(reduced=rb, scalars=sc, gauge_valid=gv)
 
 
 BATCH = 128

@@ -29,7 +29,7 @@ def _passline(text):
 def record_matches_points(rec, masses, pts, tol):
     """Body-wise match of a record against listed points, up to relabeling
     and the mirror freedom of the gauge."""
-    bodies = classify.full_bodies(rec.representative, masses)
+    bodies = classify.full_bodies(rec.representative.reduced, masses)
     for mirror in (False, True):
         cand = [(x, -y) if mirror else (x, y) for x, y in pts]
         used = set()

@@ -95,7 +95,7 @@ class TestSymmetry:
         midpoints lands back inside the certified enclosures."""
         m = Masses.equal(3)
         sym = symmetry_check(equilateral3, m)
-        bodies = classify.full_bodies(equilateral3, m)
+        bodies = classify.full_bodies(equilateral3.reduced, m)
         mids = [(x.mid, y.mid) for x, y in bodies]
         perm = sym.ox_permutation
         for i, (px, py) in enumerate(mids):
@@ -122,7 +122,7 @@ class TestSymmetry:
             cx, cy = line.axis_x.mid, line.axis_y.mid
             assert abs(np.hypot(cx, cy) - 1.0) < 1e-12
             rxx, rxy = cx * cx - cy * cy, 2.0 * cx * cy
-            mids = [(x.mid, y.mid) for x, y in classify.full_bodies(res.solution, m)]
+            mids = [(x.mid, y.mid) for x, y in classify.full_bodies(res.solution.reduced, m)]
             for (px, py), j in zip(mids, line.permutation):
                 tx, ty = mids[j]
                 assert np.hypot(rxx * px + rxy * py - tx, rxy * px - rxx * py - ty) < 1e-6, k
@@ -137,7 +137,7 @@ class TestSymmetry:
         assert res.certified
         assert res.symmetry.verdict == "ProvedAsymmetric"
         # re-assert the disjointness that backs the verdict for the OX axis
-        bodies = classify.full_bodies(res.solution, Masses.equal(8))
+        bodies = classify.full_bodies(res.solution.reduced, Masses.equal(8))
         refl = classify.reflect_ox(bodies)
         assert any(
             rx.disjoint(ox) or ry.disjoint(oy)

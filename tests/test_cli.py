@@ -91,6 +91,21 @@ class TestVerifyCommand:
         assert "NOT CERTIFIED: a candidate needs at least 3 bodies, got 1" in blocks[2]
         assert "Certified candidates: 1 / 3" in blocks[2]
 
+    def test_invalid_gauge_is_not_a_proof(self, tmp_path, monkeypatch):
+        """A certified candidate whose pinned and derived bodies may share x
+        is reported NOT PROVEN and fails the run."""
+        from ccenum import reduced
+
+        monkeypatch.setattr(reduced, "gauge_validity", lambda *args: False)
+        cand = tmp_path / "cands.txt"
+        cand.write_text("-0.2886751346 -0.5\n0.5773502692 0\n-0.2886751346 0.5\n")
+        report = tmp_path / "verify.txt"
+        code = main(["verify", "--candidates", str(cand), "--report", str(report)])
+        text = report.read_text()
+        assert "Certified candidates: 1 / 1" in text
+        assert "NOT PROVEN: the pinned and derived bodies may share x" in text
+        assert code == 1
+
     def test_verify_failure_exit_code(self, tmp_path):
         cand = tmp_path / "bad.txt"
         cand.write_text("0 0\n0.5 0\n1.0 0\n")

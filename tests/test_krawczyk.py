@@ -9,6 +9,7 @@ from ccenum import reduced as reduced_mod
 from ccenum.errors import SingularMidpoint
 from ccenum.interval import Interval
 from ccenum.model import Masses
+from ccenum.verify import gauge_candidate
 from oracles import newton_polish, polish_listed
 from conftest import load_listed
 
@@ -35,11 +36,11 @@ class TestOperator:
         self.z = newton_polish(np.array([-D3, 0.0, D3]), 3)
 
     def test_contracts_near_zero(self):
+        """One operator step maps a small box around the zero strictly inside."""
         lo, hi = self.z - 1e-4, self.z + 1e-4
-        J = reduced_mod.jacobian_arrays(self.rctx, lo, hi)
-        C = krawczyk.midpoint_inverse(*J)
-        Klo, Khi = krawczyk.operator_arrays(self.rctx, self.z, lo, hi, C)
-        assert np.all(lo < Klo) and np.all(Khi < hi)
+        out = krawczyk.iterate_arrays(self.rctx, lo, hi, max_iter=1)
+        assert out.tag == "unique_zero"
+        assert np.all(lo < out.lo) and np.all(out.hi < hi)
 
     def test_excludes_shifted_box(self):
         shifted = self.z + 0.05
@@ -65,12 +66,12 @@ class TestOperator:
 
 class TestZeroPreservation:
     def test_zero_stays_in_every_operator_image(self):
-        """Refined zeros lie inside every K along the iteration (n = 3..5).
+        """Refined zeros lie inside the box after every operator step
+        (n = 3..5), one step per call as `contract` takes them.
 
         The float-polished proxy sits within ~1e-13 of the true zero while
         the operator can contract far below that, so containment is checked
-        at the oracle's own precision and the intersections must never
-        become empty.
+        at the oracle's own precision, and no step may rule the zero out.
         """
         tol = 1e-12
         for n in (3, 4, 5):
@@ -81,17 +82,12 @@ class TestZeroPreservation:
                 lo = z - 5e-5
                 hi = z + 5e-5
                 for _ in range(6):
-                    Jlo, Jhi = reduced_mod.jacobian_arrays(rctx, lo, hi)
-                    C = krawczyk.midpoint_inverse(Jlo, Jhi)
-                    x0 = lo + 0.5 * (hi - lo)
-                    Klo, Khi = krawczyk.operator_arrays(rctx, x0, lo, hi, C, J=(Jlo, Jhi))
-                    assert np.all(Klo - tol <= z) and np.all(z <= Khi + tol), (n, pts)
-                    nlo = np.maximum(Klo, lo)
-                    nhi = np.minimum(Khi, hi)
-                    assert np.all(nlo <= nhi), "intersection must stay nonempty"
-                    if np.all(nlo == lo) and np.all(nhi == hi):
+                    out = krawczyk.iterate_arrays(rctx, lo, hi, max_iter=1)
+                    assert out.tag != "no_zero", (n, pts)
+                    if out.tag == "failed" and not out.refined:
                         break
-                    lo, hi = nlo, nhi
+                    assert np.all(out.lo - tol <= z) and np.all(z <= out.hi + tol), (n, pts)
+                    lo, hi = out.lo, out.hi
 
     def test_failed_refinements_nested(self):
         m = Masses.equal(4)
@@ -165,6 +161,25 @@ class TestContract:
         lo, hi = krawczyk.contract(rctx, out.lo, out.hi)
         assert np.max(hi - lo) < 1e-12
         assert np.all(lo <= z) and np.all(z <= hi)
+
+    def test_candidates_contract_inside_certified_box(self):
+        """Every n = 6..10 candidate, certified as `verify` does it, contracts
+        to a box nested in the certified one and narrower than 1e-11; a
+        single operator step leaves boxes up to ~4e-9 wide."""
+        for n in range(6, 11):
+            m = Masses.equal(n)
+            rctx = reduced_mod.reduced_ctx(m)
+            for pts in load_listed(n):
+                z = gauge_candidate(pts, m)
+                delta = 1e-6
+                out = krawczyk.iterate_arrays(rctx, z - delta, z + delta)
+                while out.tag != "unique_zero":
+                    delta *= 2.0
+                    assert delta <= 1e-3, (n, pts)
+                    out = krawczyk.iterate_arrays(rctx, z - delta, z + delta)
+                lo, hi = krawczyk.contract(rctx, out.lo, out.hi)
+                assert np.all(out.lo <= lo) and np.all(hi <= out.hi), (n, pts)
+                assert np.max(hi - lo) < 1e-11, (n, pts)
 
 
 class TestBatchedInverse:

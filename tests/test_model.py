@@ -1,6 +1,6 @@
 """Model operations: eliminated body, residual, scalars, distances, and
-the conservation identities on random point configurations.  The residual
-and the distances come from the array pipeline the search runs."""
+the conservation identities on random point configurations.  Everything
+comes from the array pipeline the search runs, on free-body arrays."""
 
 import math
 
@@ -12,21 +12,17 @@ from ccenum import model
 from ccenum import reduced as reduced_mod
 from ccenum.errors import CollisionPossible
 from ccenum.interval import Interval
-from ccenum.model import (
-    BodyBox,
-    ConfigurationBox,
-    Masses,
-    cross,
-    derive_last_body,
-    scalars,
-)
+from ccenum.model import Masses, cross, scalars
 from oracles import full_residual
 
 R3 = 1.0 / math.sqrt(3.0)
 
 
-def config_from_points(points):
-    return ConfigurationBox([BodyBox(Interval(x), Interval(y)) for x, y in points])
+def config_from_points(points, w=0.0):
+    """Free-body arrays (xlo, xhi, ylo, yhi) of the boxes of half-width w
+    around the points of the n-1 free bodies."""
+    p = np.asarray(points, dtype=float)
+    return p[:, 0] - w, p[:, 0] + w, p[:, 1] - w, p[:, 1] + w
 
 
 def equilateral_config():
@@ -34,12 +30,18 @@ def equilateral_config():
     return config_from_points([(-R3 / 2, -0.5), (R3, 0.0)])
 
 
-def full_residual_iv(c: ConfigurationBox, masses: Masses):
+def last_body(c, masses: Masses):
+    """The eliminated body's (x, y) enclosures, from `model.derived_last_arrays`."""
+    dxlo, dxhi, dylo, dyhi = model.derived_last_arrays(model.nbody_ctx(masses), *c)
+    return Interval(float(dxlo), float(dxhi)), Interval(float(dylo), float(dyhi))
+
+
+def full_residual_iv(c, masses: Masses):
     """Enclosures of q_i - accel_i for all n bodies, x and y interleaved,
     from `model.accel_arrays`; None when a pair may collide (where
     `reduced.residual_masked` reports the box not ok)."""
     ctx = model.nbody_ctx(masses)
-    xlo, xhi, ylo, yhi = c.free_arrays()
+    xlo, xhi, ylo, yhi = c
     d = model.pair_disp_arrays(ctx, xlo, xhi, ylo, yhi)
     if np.any(model.pair_r2_arrays(*d)[0] <= 0.0):
         return None
@@ -53,11 +55,11 @@ def full_residual_iv(c: ConfigurationBox, masses: Masses):
     return out
 
 
-def distances(c: ConfigurationBox, masses: Masses):
+def distances(c, masses: Masses):
     """{(i, j): distance enclosure} over the pairs i < j, as the battery
     frame computes them."""
     ctx = model.nbody_ctx(masses)
-    d = model.pair_disp_arrays(ctx, *c.free_arrays())
+    d = model.pair_disp_arrays(ctx, *c)
     rlo, rhi = bxo.isqrt(*model.pair_r2_arrays(*d))
     return {
         (int(i), int(j)): Interval(float(lo), float(hi))
@@ -86,22 +88,22 @@ class TestDeriveLast:
     def test_symmetric_pair(self):
         m = Masses.equal(3)
         c = config_from_points([(-0.5, 0.0), (0.5, 0.0)])
-        last = derive_last_body(c, m)
-        assert last.x.contains(0.0) and last.y.contains(0.0)
-        assert last.x.width < 1e-14
+        x, y = last_body(c, m)
+        assert x.contains(0.0) and y.contains(0.0)
+        assert x.width < 1e-14
 
     def test_direct_formula(self):
         m = Masses.equal(3)
         c = config_from_points([(1.0, 0.0), (1.0, 0.0)])
-        last = derive_last_body(c, m)
-        assert last.x.contains(-2.0) and last.x.width < 1e-13
+        x, _ = last_body(c, m)
+        assert x.contains(-2.0) and x.width < 1e-13
 
     def test_isosceles_fourth_body(self):
         m = Masses.equal(4)
         pts = [(-0.3821936947, 0.6195346528), (-0.3821936947, -0.6195346528), (0.7436490828, 0.0)]
-        last = derive_last_body(config_from_points(pts), m)
-        assert abs(last.x.mid - 0.0207383067) < 1e-9
-        assert last.y.contains(0.0)
+        x, y = last_body(config_from_points(pts), m)
+        assert abs(x.mid - 0.0207383067) < 1e-9
+        assert y.contains(0.0)
 
 
 class TestResidual:
@@ -129,8 +131,6 @@ class TestResidual:
         rctx = reduced_mod.reduced_ctx(Masses.equal(3))
         z = np.zeros((1, 3))
         assert reduced_mod.residual_masked(rctx, z, z)[2].tolist() == [False]
-        with pytest.raises(CollisionPossible):
-            reduced_mod.residual_arrays(rctx, z[0], z[0])
 
     def test_contains_point_residuals(self):
         rng = np.random.default_rng(31)
@@ -139,10 +139,7 @@ class TestResidual:
             n = int(rng.choice([3, 4, 5]))
             pts = rng.uniform(-1.5, 1.5, (n - 1, 2))
             w = rng.uniform(0, 0.02)
-            bodies = [
-                BodyBox(Interval(x - w, x + w), Interval(y - w, y + w)) for x, y in pts
-            ]
-            c = ConfigurationBox(bodies)
+            c = config_from_points(pts, w)
             m = Masses.equal(n)
             F = full_residual_iv(c, m)
             if F is None:
@@ -171,8 +168,7 @@ class TestResidual:
             if F is None:
                 continue
             done += 1
-            last = derive_last_body(c, m)
-            coords = [(Interval(x), Interval(y)) for x, y in pts] + [(last.x, last.y)]
+            coords = [(Interval(x), Interval(y)) for x, y in pts] + [last_body(c, m)]
             fsumx = Interval(0.0)
             fsumy = Interval(0.0)
             ang = Interval(0.0)
@@ -189,7 +185,7 @@ class TestResidual:
 
 class TestScalars:
     def test_equilateral_values(self):
-        sc = scalars(equilateral_config(), Masses.equal(3))
+        sc = scalars(*equilateral_config(), Masses.equal(3))
         third = 1.0 / 3.0
         assert sc.U.contains(third) and sc.U.width < 1e-12
         assert sc.I.contains(third)
@@ -200,7 +196,7 @@ class TestScalars:
     def test_collinear_values(self):
         d = (5.0 / 12.0) ** (1.0 / 3.0)
         c = config_from_points([(-d, 0.0), (d, 0.0)])
-        sc = scalars(c, Masses.equal(3))
+        sc = scalars(*c, Masses.equal(3))
         # J = (5/18) sqrt(2/3), P = 5/sqrt(2), both scale free
         assert abs(sc.J.mid - 5.0 * math.sqrt(6.0) / 54.0) < 1e-13
         assert abs(sc.P_moeckel.mid - 5.0 / math.sqrt(2.0)) < 1e-12
@@ -208,7 +204,7 @@ class TestScalars:
 
     def test_rational_point(self):
         c = config_from_points([(-2.0, 0.0), (2.0, 0.0)])
-        sc = scalars(c, Masses.equal(3))
+        sc = scalars(*c, Masses.equal(3))
         assert sc.I.contains(8.0 / 3.0) and sc.I.width < 1e-13
         assert sc.U.contains(5.0 / 36.0) and sc.U.width < 1e-13
         assert sc.U.disjoint(sc.I)
@@ -220,9 +216,9 @@ class TestScalars:
             pts = rng.uniform(0.3, 1.5, (n - 1, 2)) * rng.choice([-1, 1], (n - 1, 2))
             m = Masses.equal(n)
             try:
-                j1 = scalars(config_from_points(pts), m).J
+                j1 = scalars(*config_from_points(pts), m).J
                 s = rng.uniform(0.1, 10.0)
-                j2 = scalars(config_from_points(pts * s), m).J
+                j2 = scalars(*config_from_points(pts * s), m).J
             except CollisionPossible:
                 continue
             assert not j1.disjoint(j2)
@@ -230,7 +226,7 @@ class TestScalars:
     def test_collision_raises(self):
         c = config_from_points([(0.5, 0.5), (0.5, 0.5)])
         with pytest.raises(CollisionPossible):
-            scalars(c, Masses.equal(3))
+            scalars(*c, Masses.equal(3))
 
 
 class TestPairwiseDistances:
@@ -241,12 +237,7 @@ class TestPairwiseDistances:
         assert sorted(D) == [(0, 1), (0, 2), (1, 2)]
 
     def test_overlapping_boxes(self):
-        c = ConfigurationBox(
-            [
-                BodyBox(Interval(0, 1), Interval(0, 1)),
-                BodyBox(Interval(0.5, 1.5), Interval(0.5, 1.5)),
-            ]
-        )
+        c = config_from_points([(0.5, 0.5), (1.0, 1.0)], 0.5)  # [0, 1]^2 and [0.5, 1.5]^2
         D = distances(c, Masses.equal(3))
         assert D[0, 1].lo == 0.0
 

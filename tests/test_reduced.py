@@ -1,35 +1,44 @@
 """Reduced system: residual and Jacobian enclosures (the array functions
 the search and the operator call) against independent finite-difference
-oracles, gauge validity, and box conversions."""
+oracles, gauge validity, and the checks and copies of `ReducedBox`."""
+
+import pickle
 
 import mpmath
 import numpy as np
 import pytest
 
+from ccenum import classify
 from ccenum import reduced as reduced_mod
-from ccenum.errors import CollisionPossible
-from ccenum.interval import Interval, IntervalVector
+from ccenum.interval import Interval
 from ccenum.model import Masses
 from ccenum.reduced import ReducedBox, gauge_validity
 from oracles import fd_reduced_jacobian, reduced_residual as oracle_residual
 
 
 def box_from_point(z, w=0.0):
-    return ReducedBox(IntervalVector([Interval(v - w, v + w) for v in z]))
+    z = np.asarray(z, dtype=float)
+    return ReducedBox.from_arrays(z - w, z + w)
+
+
+def _ctx_for(z):
+    return reduced_mod.reduced_ctx(Masses.equal(reduced_mod.n_for_dim(len(z))))
 
 
 def residual(z, w=0.0):
-    """`residual_arrays` on the box of half-width w around z, equal masses."""
-    z = np.asarray(z, dtype=float)
-    rctx = reduced_mod.reduced_ctx(Masses.equal(reduced_mod.n_for_dim(len(z))))
-    return reduced_mod.residual_arrays(rctx, z - w, z + w)
+    """`residual_masked` on the box of half-width w around z, equal masses;
+    None when a pair of bodies may collide on the box."""
+    z = np.asarray(z, dtype=float)[None]
+    lo, hi, ok = reduced_mod.residual_masked(_ctx_for(z[0]), z - w, z + w)
+    return (lo[0], hi[0]) if ok[0] else None
 
 
 def jacobian(z, w=0.0):
-    """`jacobian_arrays` on the box of half-width w around z, equal masses."""
-    z = np.asarray(z, dtype=float)
-    rctx = reduced_mod.reduced_ctx(Masses.equal(reduced_mod.n_for_dim(len(z))))
-    return reduced_mod.jacobian_arrays(rctx, z - w, z + w)
+    """`jacobian_masked` on the box of half-width w around z, equal masses."""
+    z = np.asarray(z, dtype=float)[None]
+    Jlo, Jhi, ok = reduced_mod.jacobian_masked(_ctx_for(z[0]), z - w, z + w)
+    assert ok[0], "the test boxes are collision free"
+    return Jlo[0], Jhi[0]
 
 
 D3 = (5.0 / 12.0) ** (1.0 / 3.0)
@@ -57,10 +66,10 @@ class TestResidual:
         while done < 300:
             n = int(rng.choice([3, 4, 5]))
             z = rng.uniform(-1.3, 1.3, 2 * (n - 1) - 1)
-            try:
-                lo, hi = residual(z)
-            except CollisionPossible:
+            got = residual(z)
+            if got is None:
                 continue
+            lo, hi = got
             done += 1
             exact = oracle_residual(z, n)
             assert np.all(lo <= exact + 1e-9) and np.all(exact <= hi + 1e-9)
@@ -99,7 +108,7 @@ class TestJacobian:
             z = rng.uniform(-1.3, 1.3, 2 * (n - 1) - 1)
             if not _well_separated(z, n):
                 continue
-            J = reduced_mod.jacobian_arrays(reduced_mod.reduced_ctx(Masses.equal(n)), z, z)
+            J = jacobian(z)
             done += 1
             fd = fd_reduced_jacobian(z, n, h=1e-6)
             d = len(z)
@@ -122,19 +131,14 @@ class TestJacobian:
     def test_collinear_midpoint_invertible(self):
         from ccenum.krawczyk import midpoint_inverse
 
-        rctx = reduced_mod.reduced_ctx(Masses.equal(3))
-        z = np.array([-D3, 0.0, D3])
-        Jlo, Jhi = reduced_mod.jacobian_arrays(rctx, z - 1e-6, z + 1e-6)
+        Jlo, Jhi = jacobian([-D3, 0.0, D3], 1e-6)
         C = midpoint_inverse(Jlo, Jhi)
         assert np.all(np.isfinite(C))
 
     def test_mixed_partial_symmetry(self):
         # the x_k derivative of the y residual equals the y_k derivative of
         # the x residual at point configurations
-        rctx = reduced_mod.reduced_ctx(Masses.equal(4))
-        rng = np.random.default_rng(23)
-        z = np.array([-0.9, 0.3, 0.25, -0.8, 0.95])
-        Jlo, Jhi = reduced_mod.jacobian_arrays(rctx, z, z)
+        Jlo, Jhi = jacobian([-0.9, 0.3, 0.25, -0.8, 0.95])
         # rows: (0,x),(0,y),(1,x),(1,y),(2,x); columns likewise
         pairs = [((0, 3), (1, 2)), ((1, 0), (0, 1)), ((3, 0), (2, 1))]
         for (r1, c1), (r2, c2) in pairs:
@@ -148,33 +152,76 @@ class TestJacobian:
 
 class TestGaugeAndConversions:
     def test_round_trip(self):
-        """The configuration of a reduced box has the free-body arrays the
-        search derives from the box, body n-2 pinned to y = 0."""
-        rb = box_from_point([-0.7, 0.2, -0.4, -0.1, 0.9], 1e-3)
-        got = rb.to_configuration().free_arrays()
-        lo, hi = rb.arrays()
-        want = reduced_mod.box_to_free_arrays(lo, hi, 4)
-        for a, b in zip(got, want):
-            assert a.tolist() == b.tolist()
-        assert ReducedBox.from_arrays(lo, hi).coords.entries == rb.coords.entries
+        """A box hands back its bounds bit for bit, and its bodies are the
+        free-body arrays the search derives from the bounds, body n-2
+        pinned to y = 0 and the last body at minus their sum."""
+        lo = np.array([-0.7, 0.2, -0.4, -0.1, 0.9]) - 1e-3
+        hi = lo + 2e-3
+        rb = ReducedBox.from_arrays(lo, hi)
+        assert [a.tolist() for a in rb.arrays()] == [lo.tolist(), hi.tolist()]
+        bodies = classify.full_bodies(rb, Masses.equal(4))
+        xlo, xhi, ylo, yhi = reduced_mod.box_to_free_arrays(lo, hi, 4)
+        for k in range(3):
+            assert bodies[k] == (Interval(xlo[k], xhi[k]), Interval(ylo[k], yhi[k]))
+        assert bodies[2][1] == Interval(0.0)
+        mid = lo + 0.5 * (hi - lo)
+        assert bodies[3][0].contains(-(mid[0] + mid[2] + mid[4]))
+        assert bodies[3][1].contains(-(mid[1] + mid[3]))
 
     def test_gauge_validity_collinear(self):
         rb = box_from_point([-D3, 0.0, D3], 1e-6)
-        assert gauge_validity(rb.to_configuration(), Masses.equal(3))
+        assert gauge_validity(*rb.arrays(), Masses.equal(3))
 
     def test_gauge_validity_equilateral(self):
         rb = box_from_point([-0.2886751346, -0.5, 0.5773502692], 1e-6)
-        assert gauge_validity(rb.to_configuration(), Masses.equal(3))
+        assert gauge_validity(*rb.arrays(), Masses.equal(3))
 
     def test_gauge_violation_synthetic(self):
         # derived body shares the pinned body's x enclosure
         rb = box_from_point([-1.0, 1.0, 0.5], 0.0)
         # derived x = -(x0 + x1)/1 with equal masses: -(-1.0 + 0.5) = 0.5
-        assert not gauge_validity(rb.to_configuration(), Masses.equal(3))
+        assert not gauge_validity(*rb.arrays(), Masses.equal(3))
 
     def test_dimension_check(self):
-        with pytest.raises(ValueError):
-            ReducedBox(IntervalVector([Interval(0), Interval(0)]))
+        for d in (0, 2, 4):
+            with pytest.raises(ValueError, match="dimension"):
+                ReducedBox.from_arrays(np.zeros(d), np.zeros(d))
+
+
+class TestBoxChecks:
+    """`ReducedBox.from_arrays` refuses what no box is, and no caller can
+    change a box through the arrays it handed in or got back."""
+
+    def test_nan_rejected(self):
+        for k in range(2):
+            bounds = [np.zeros(3), np.ones(3)]
+            bounds[k][1] = np.nan
+            with pytest.raises(ValueError, match="NaN"):
+                ReducedBox.from_arrays(*bounds)
+
+    def test_lo_above_hi_rejected(self):
+        with pytest.raises(ValueError, match="lo > hi"):
+            ReducedBox.from_arrays(np.array([0.0, 2.0, 0.0]), np.array([1.0, 1.0, 1.0]))
+
+    def test_shapes_rejected(self):
+        for lo, hi in (
+            (np.zeros(3), np.ones(5)),
+            (np.zeros((1, 3)), np.ones((1, 3))),
+            (np.float64(0.0), np.float64(1.0)),
+        ):
+            with pytest.raises(ValueError, match="1-D"):
+                ReducedBox.from_arrays(lo, hi)
+
+    def test_arrays_are_copies(self):
+        lo, hi = np.zeros(3), np.ones(3)
+        rb = ReducedBox.from_arrays(lo, hi)
+        lo[0], hi[0] = -5.0, 5.0
+        got_lo, got_hi = rb.arrays()
+        got_lo[1], got_hi[1] = -7.0, 7.0
+        thawed = pickle.loads(pickle.dumps(rb))
+        thawed.arrays()[0][2] = -9.0
+        for box in (rb, thawed):
+            assert [a.tolist() for a in box.arrays()] == [[0.0] * 3, [1.0] * 3]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Report emission: solution-file round trips, report structure against the
 stored golden outputs, figures and the bench table."""
 
+import json
 import re
 from pathlib import Path
+
+import pytest
 
 from ccenum import report as report_mod
 from ccenum.model import Masses
@@ -17,11 +20,24 @@ class TestSolutionsFile:
         loaded = report_mod.load_solutions(text, m)
         assert len(loaded) == len(run_n3.solutions)
         for a, b in zip(loaded, run_n3.solutions):
-            for ia, ib in zip(a.reduced.coords, b.reduced.coords):
-                assert ia.lo == ib.lo and ia.hi == ib.hi
+            for ia, ib in zip(a.reduced.arrays(), b.reduced.arrays()):
+                assert ia.tolist() == ib.tolist()
 
     def test_empty_dump(self):
         assert report_mod.dump_solutions([], Masses.equal(3)) == ""
+
+    def test_corrupted_line_rejected(self, run_n3):
+        """A line whose box is no box fails to load instead of loading a
+        solution that was never certified."""
+        m = run_n3.masses
+        line = report_mod.dump_solutions(run_n3.solutions[:1], m)
+        rec = json.loads(line)
+        (lo, hi), rest = rec["reduced"][0], rec["reduced"][1:]
+        # lo > hi, a NaN bound, a dimension no n gives
+        for reduced in ([[hi, lo]] + rest, [[float("nan").hex(), hi]] + rest, rest):
+            bad = json.dumps({**rec, "reduced": reduced})
+            with pytest.raises(ValueError):
+                report_mod.load_solutions(line + bad + "\n", m)
 
 
 def _normalize(text: str):

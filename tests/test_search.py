@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ccenum import bounds, exclusion, krawczyk, reduced, search as search_mod
-from ccenum.interval import Interval, IntervalVector
+from ccenum.interval import Interval
 from ccenum.model import Masses
 from ccenum.reduced import ReducedBox
 from ccenum.search import SearchConfig, SearchStats, bisect_with_overlap, initial_domain, search
@@ -31,18 +31,19 @@ class TestConfig:
 
 class TestInitialDomain:
     def test_n3_shape(self):
-        dom = initial_domain(SearchConfig(n=3))
+        lo, hi = initial_domain(SearchConfig(n=3)).arrays()
         pad = 1e-3 * 2
-        c = dom.coords
-        assert abs(c[0].lo + 2 + pad) < 1e-12 and abs(c[0].hi - pad) < 1e-12
-        assert abs(c[1].lo + pad) < 1e-12 and abs(c[1].hi - 2 - pad) < 1e-12
-        assert abs(c[2].lo - (0.5 - pad)) < 1e-12 and abs(c[2].hi - 2 - pad) < 1e-12
+        assert abs(lo[0] + 2 + pad) < 1e-12 and abs(hi[0] - pad) < 1e-12
+        assert abs(lo[1] + pad) < 1e-12 and abs(hi[1] - 2 - pad) < 1e-12
+        assert abs(lo[2] - (0.5 - pad)) < 1e-12 and abs(hi[2] - 2 - pad) < 1e-12
 
     def test_n4_pinned_coordinate(self):
-        dom = initial_domain(SearchConfig(n=4))
-        assert abs(dom.coords[-1].lo - (0.5 - 3e-3)) < 1e-12
-        assert abs(dom.coords[-1].hi - (3 + 3e-3)) < 1e-12
-        assert len(dom.coords) == 5
+        lo, hi = initial_domain(SearchConfig(n=4)).arrays()
+        assert abs(lo[-1] - (0.5 - 3e-3)) < 1e-12
+        assert abs(hi[-1] - (3 + 3e-3)) < 1e-12
+        assert len(lo) == 5
+        # y1 <= 0 as well as x0 <= 0 <= y0
+        assert hi[0] == hi[3] == 3e-3 and lo[1] == -3e-3
 
     def test_n2_rejected(self):
         with pytest.raises(ValueError):
@@ -51,21 +52,20 @@ class TestInitialDomain:
 
 class TestBisect:
     def test_overlap_margin(self):
-        box = ReducedBox(IntervalVector([Interval(0, 1), Interval(0, 1), Interval(0, 1)]))
+        box = ReducedBox.from_arrays(np.zeros(3), np.ones(3))
         left, right = bisect_with_overlap(box, 0, 0.001)
-        assert left.coords[0] == Interval(0.0, 0.501)
-        assert right.coords[0] == Interval(0.499, 1.0)
-        assert left.coords[1] == box.coords[1]
+        assert [a.tolist() for a in left.arrays()] == [[0.0, 0.0, 0.0], [0.501, 1.0, 1.0]]
+        assert [a.tolist() for a in right.arrays()] == [[0.499, 0.0, 0.0], [1.0, 1.0, 1.0]]
 
     def test_zero_overlap_policy(self):
-        box = ReducedBox(IntervalVector([Interval(0, 1), Interval(0, 1), Interval(0, 1)]))
+        box = ReducedBox.from_arrays(np.zeros(3), np.ones(3))
         with pytest.raises(ValueError):
             bisect_with_overlap(box, 0, 0.0)
         (_, lhi), (rlo, _) = search_mod.split(*box.arrays(), 0, 0.0)
         assert lhi[0] == rlo[0] == 0.5
 
     def test_zero_width_rejected(self):
-        box = ReducedBox(IntervalVector([Interval(0, 0), Interval(0, 1), Interval(0, 1)]))
+        box = ReducedBox.from_arrays(np.zeros(3), np.array([0.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             bisect_with_overlap(box, 0, 0.001)
 
