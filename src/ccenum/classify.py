@@ -279,6 +279,14 @@ def blow_up(rctx, zlo, zhi, max_rounds: int = 8) -> str:
 
 
 def _hull_certifies(rctx, za, zb) -> bool:
+    # za holds a zero and zb encloses its image under a relabeling,
+    # reflection or re-gauging, which is a zero as well.  Disjoint boxes
+    # hold two distinct zeros, and so does the hull and every box blow_up
+    # grows from it (each contains the hull), so no Krawczyk step can find
+    # exactly one zero there.  Returning False early changes no verdict, and
+    # False only ever withholds a proof.
+    if np.any(za[1] < zb[0]) or np.any(zb[1] < za[0]):
+        return False
     hlo = np.minimum(za[0], zb[0])
     hhi = np.maximum(za[1], zb[1])
     return blow_up(rctx, hlo, hhi) == "UniqueZero"

@@ -277,8 +277,3 @@ def scalars(xlo, xhi, ylo, yhi, masses: Masses) -> ScalarEnclosures:
 def _sum_iv(lo, hi) -> Interval:
     s = bxo.isum(lo, hi)
     return Interval(float(s[0]), float(s[1]))
-
-
-def cross(ax: Interval, ay: Interval, bx: Interval, by: Interval) -> Interval:
-    """Planar exterior product a_x b_y - a_y b_x."""
-    return ax * by - ay * bx

@@ -3,6 +3,9 @@ oracles by the test suite.  Nothing here touches the interval machinery."""
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -126,3 +129,55 @@ def kernel_grid_range(xlo, xhi, ylo, yhi, a, b, grid=400):
     X, Y = np.meshgrid(xs, ys)
     V = X**a / np.hypot(X, Y) ** b
     return float(V.min()), float(V.max())
+
+
+# ---------------------------------------------------------------------------
+# directed rounding of one operation from exact rational remainders: the
+# reference the error-free transforms of `ccenum.interval` must reproduce
+# bit for bit
+
+
+def mul_down(a: float, b: float) -> float:
+    p = a * b
+    if math.isinf(p):
+        return p if p < 0 else math.nextafter(p, 0.0)
+    r = Fraction(a) * Fraction(b) - Fraction(p)
+    return math.nextafter(p, -math.inf) if r < 0 else p
+
+
+def mul_up(a: float, b: float) -> float:
+    p = a * b
+    if math.isinf(p):
+        return p if p > 0 else math.nextafter(p, 0.0)
+    r = Fraction(a) * Fraction(b) - Fraction(p)
+    return math.nextafter(p, math.inf) if r > 0 else p
+
+
+def div_down(a: float, b: float) -> float:
+    q = a / b
+    if math.isinf(q):
+        return q if q < 0 else math.nextafter(q, 0.0)
+    r = Fraction(a) - Fraction(q) * Fraction(b)
+    return math.nextafter(q, -math.inf) if (r < 0) == (b > 0) and r != 0 else q
+
+
+def div_up(a: float, b: float) -> float:
+    q = a / b
+    if math.isinf(q):
+        return q if q > 0 else math.nextafter(q, 0.0)
+    r = Fraction(a) - Fraction(q) * Fraction(b)
+    return math.nextafter(q, math.inf) if (r > 0) == (b > 0) and r != 0 else q
+
+
+def sqrt_down(a: float) -> float:
+    if a == 0.0:
+        return 0.0
+    s = math.sqrt(a)
+    return math.nextafter(s, -math.inf) if Fraction(s) * Fraction(s) > Fraction(a) else s
+
+
+def sqrt_up(a: float) -> float:
+    if a == 0.0:
+        return 0.0
+    s = math.sqrt(a)
+    return math.nextafter(s, math.inf) if Fraction(s) * Fraction(s) < Fraction(a) else s

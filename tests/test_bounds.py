@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -76,6 +77,74 @@ class TestComputeBounds:
             steps += 1
         assert steps <= 4
         assert b.R_max == iv.hi
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: mpmath interval arithmetic at 60 digits
+
+
+@pytest.fixture
+def iv60():
+    saved = mpmath.iv.dps
+    mpmath.iv.dps = 60
+    try:
+        yield mpmath.iv
+    finally:
+        mpmath.iv.dps = saved
+
+
+def _ulps_inside(got: float, exact, side: str, ulps: int = 4) -> bool:
+    """got lies on the given side of the enclosure `exact`, within `ulps`."""
+    if side == "below":
+        return got <= exact.a and got + ulps * math.ulp(got) >= exact.b
+    return got >= exact.b and got - ulps * math.ulp(got) <= exact.a
+
+
+class TestMpmathOracle:
+    def test_icbrt(self, iv60):
+        """Each end's cube, exact at 60 digits, lies on the right side of the
+        input; 4 ulps further in, it lies on the wrong side."""
+        rng = np.random.default_rng(2718)
+        values = [0.0, 5e-324, 2.2250738585072014e-308, 1.0, 2.0, 4.0, 8.0, 27.0, 1e-300]
+        values += [float((n - 2) ** 2) for n in range(5, 11)]
+        values += [(n - 1) / (4 * n) for n in range(3, 11)]
+        values += np.ldexp(rng.uniform(1.0, 2.0, 300), rng.integers(-900, 900, 300)).tolist()
+        values += rng.uniform(0.0, 100.0, 300).tolist()
+
+        # v ** (1/3) starts from a rounded 1/3, off by about |ln v| * 2e-17
+        # relative, and the loops only step outward: tight near the
+        # constants compute_bounds takes roots of, merely sound far away
+        def tight(v):
+            return 1e-2 <= v <= 1e2
+
+        for k, v in enumerate(values):
+            w = values[k - 1]
+            lo, hi = min(v, w), max(v, w)
+            got = icbrt(Interval(lo, hi))
+            assert (iv60.mpf(got.lo) ** 3).b <= lo, lo
+            assert (iv60.mpf(got.hi) ** 3).a >= hi, hi
+            if tight(lo):
+                assert (iv60.mpf(got.lo + 4 * math.ulp(got.lo)) ** 3).a > lo, lo
+            if tight(hi):
+                assert (iv60.mpf(got.hi - 4 * math.ulp(got.hi)) ** 3).b < hi, hi
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_compute_bounds(self, iv60, n):
+        b = compute_bounds(n, Masses.equal(n))
+        third = iv60.mpf(1) / 3
+        if n <= 4:
+            r_max = iv60.mpf(n - 1)
+        else:
+            c = iv60.mpf(2) ** third + 1 / iv60.mpf(4) ** third
+            r_max = c * iv60.mpf((n - 2) ** 2) ** third
+            assert r_max.b < n - 1  # the min with n - 1 never bites for n <= 10
+        r_min = (iv60.mpf(n - 1) / (4 * n)) ** third  # above 1/2 for every n >= 3
+        assert _ulps_inside(b.R_max, r_max, "above", ulps=8)
+        assert _ulps_inside(b.R_min, r_min, "below", ulps=8)
+        assert b.R_max_sq >= (r_max * r_max).b
+        assert b.R_min_sq <= (r_min * r_min).a
+        assert b.dist_one == 1.0
+        assert all(v <= (iv60.mpf(1) / n**2).a for v in b.mm_over_M_lo)
 
 
 class TestCheckApriori:

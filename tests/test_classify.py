@@ -145,6 +145,48 @@ class TestSymmetry:
         )
 
 
+class TestDisjointHullSkip:
+    def test_disjoint_hulls_never_certify(self, monkeypatch):
+        """Of the (za, zb) pairs symmetry_check tries on the asymmetric n = 8
+        candidate 0 and the line-symmetric n = 7 candidate 7, the disjoint
+        ones skip blow_up, which gives up on them anyway; the overlapping
+        ones still reach it."""
+        from conftest import load_listed
+        from ccenum.verify import verify_candidate
+
+        hull_certifies, unchanged_blow_up = classify._hull_certifies, classify.blow_up
+        overlapping = 0
+        for n, k, verdict in [(8, 0, "ProvedAsymmetric"), (7, 7, "LineSymmetric")]:
+            m = Masses.equal(n)
+            res = verify_candidate(k, load_listed(n)[k], m)
+            assert res.symmetry.verdict == verdict
+            pairs, blow_ups = [], []
+
+            def record_pair(rctx, za, zb):
+                pairs.append((za, zb))
+                return hull_certifies(rctx, za, zb)
+
+            def record_blow_up(rctx, lo, hi, **kw):
+                blow_ups.append((lo, hi))
+                return unchanged_blow_up(rctx, lo, hi, **kw)
+
+            monkeypatch.setattr(classify, "_hull_certifies", record_pair)
+            monkeypatch.setattr(classify, "blow_up", record_blow_up)
+            assert symmetry_check(res.solution, m) == res.symmetry
+            monkeypatch.undo()
+
+            disjoint = [np.any(za[1] < zb[0]) or np.any(zb[1] < za[0]) for za, zb in pairs]
+            assert any(disjoint)
+            assert len(blow_ups) == disjoint.count(False)
+            overlapping += len(blow_ups)
+            rctx = reduced_mod.reduced_ctx(m)
+            for (za, zb), skip in zip(pairs, disjoint):
+                if skip:
+                    hull = np.minimum(za[0], zb[0]), np.maximum(za[1], zb[1])
+                    assert blow_up(rctx, *hull) == "GiveUp"
+        assert overlapping > 0
+
+
 class TestCollinear:
     def test_collinear_detected(self, collinear3):
         assert detect_collinear(collinear3, Masses.equal(3))

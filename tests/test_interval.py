@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from ccenum import interval as iv_mod
 from ccenum.errors import DomainError, IntervalDivisionError
 from ccenum.interval import Interval, IntervalMatrix
 
@@ -135,3 +137,89 @@ class TestContainmentFuzz:
             out = A.matvec(vec)
             for k in range(m):
                 assert out[k].contains(float(exact[k]))
+
+
+def _operand_pairs(rng) -> tuple[np.ndarray, np.ndarray]:
+    """About 55k finite operand pairs that reach every branch of the
+    error-free products: random bit patterns, everyday magnitudes, products
+    and factors at the edges of the exact range, exact products and a grid
+    of special values."""
+    out_a, out_b = [], []
+
+    def signed(x):
+        return x * rng.choice([-1.0, 1.0], size=x.shape)
+
+    bits = rng.integers(0, 2**63, size=(2, 16000), dtype=np.int64).view(np.float64)
+    bits = np.where(np.isfinite(bits), bits, 1.0)
+    out_a.append(bits[0])
+    out_b.append(signed(bits[1]))
+
+    k = 18000
+    mant = rng.uniform(1.0, 2.0, size=(2, k))
+    out_a.append(signed(np.ldexp(mant[0], rng.integers(-60, 61, k))))
+    out_b.append(signed(np.ldexp(mant[1], rng.integers(-60, 61, k))))
+
+    # a*b near 2**1020, the overflow threshold, 2**-969, the normal range's
+    # end and the subnormal range; factors near 2**995
+    targets = np.array([1018, 1019, 1020, 1021, 1023, -967, -968, -969, -970, -1022, -1050])
+
+    def at_edges(mant_a, mant_b):
+        ea = rng.integers(-1000, 1000, len(mant_a))
+        eb = rng.choice(targets, len(mant_a)) - ea
+        ok = (eb > -1075) & (eb < 1023)
+        out_a.append(signed(np.ldexp(mant_a[ok], ea[ok])))
+        out_b.append(signed(np.ldexp(mant_b[ok], eb[ok])))
+
+    at_edges(*rng.uniform(1.0, 2.0, size=(2, k)))
+    ea = rng.integers(993, 998, 2000)
+    out_a.append(signed(np.ldexp(rng.uniform(1.0, 2.0, 2000), ea)))
+    out_b.append(signed(np.ldexp(rng.uniform(1.0, 2.0, 2000), rng.integers(-1000, 30, 2000))))
+    # long mantissas 1 + j*2**-52, whose product's rounding error sits in the
+    # last partial product
+    at_edges(*(1.0 + rng.integers(1, 1000, size=(2, 4000)) * 2.0**-52))
+
+    # exact products: integers times powers of two
+    m = 6000
+    ints = rng.integers(1, 2**26, size=(2, m)).astype(float)
+    out_a.append(signed(np.ldexp(ints[0], rng.integers(-500, 500, m))))
+    out_b.append(signed(np.ldexp(ints[1], rng.integers(-500, 500, m))))
+
+    specials = [
+        0.0, -0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 2.225073858507201e-308,
+        2.0**-969, 2.0**-500, 1e-16, 0.1, 1.0 / 3.0, 1.0, 3.0, 2.0**27 + 1.0,
+        2.0**995, 2.0**1020, 1e300, 1.7976931348623157e308,
+    ]  # fmt: skip
+    grid = np.array(specials + [-x for x in specials])
+    out_a.append(np.repeat(grid, len(grid)))
+    out_b.append(np.tile(grid, len(grid)))
+    return np.concatenate(out_a), np.concatenate(out_b)
+
+
+class TestExactRounding:
+    """Directed rounding from the error-free transforms equals the rounding
+    from exact rational remainders, bit for bit."""
+
+    def test_matches_rational_remainders(self):
+        a_all, b_all = _operand_pairs(np.random.default_rng(20240613))
+        assert len(a_all) >= 50000
+        ops = [
+            ("mul_down", iv_mod._mul_down, oracles.mul_down, False),
+            ("mul_up", iv_mod._mul_up, oracles.mul_up, False),
+            ("div_down", iv_mod._div_down, oracles.div_down, False),
+            ("div_up", iv_mod._div_up, oracles.div_up, False),
+            ("sqrt_down", iv_mod._sqrt_down, oracles.sqrt_down, True),
+            ("sqrt_up", iv_mod._sqrt_up, oracles.sqrt_up, True),
+        ]
+        bad = []
+        for a, b in zip(a_all.tolist(), b_all.tolist()):
+            for name, ours, ref, unary in ops:
+                if unary:
+                    args = (abs(a),)
+                elif name.startswith("div") and b == 0.0:
+                    continue
+                else:
+                    args = (a, b)
+                got, want = ours(*args), ref(*args)
+                if got.hex() != want.hex():
+                    bad.append((name, args, got, want))
+        assert not bad, f"{len(bad)} mismatches, first: {bad[:5]}"

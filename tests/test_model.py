@@ -12,7 +12,7 @@ from ccenum import model
 from ccenum import reduced as reduced_mod
 from ccenum.errors import CollisionPossible
 from ccenum.interval import Interval
-from ccenum.model import Masses, cross, scalars
+from ccenum.model import Masses, scalars
 from oracles import full_residual
 
 R3 = 1.0 / math.sqrt(3.0)
@@ -178,7 +178,8 @@ class TestResidual:
                 fy = mi * (coords[i][1] - F[2 * i + 1])
                 fsumx = fsumx + fx
                 fsumy = fsumy + fy
-                ang = ang + cross(fx, fy, coords[i][0], coords[i][1])
+                # planar exterior product f_i x q_i
+                ang = ang + (fx * coords[i][1] - fy * coords[i][0])
             assert fsumx.contains_zero() and fsumy.contains_zero()
             assert ang.contains_zero()
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ccenum.model import Masses
+from ccenum.report import render_verify_report
 from ccenum.verify import gauge_candidate, parse_candidates, verify_candidate
-from conftest import load_listed
+from conftest import DATA_DIR, load_listed
 
 
 class TestParsing:
@@ -59,3 +60,16 @@ class TestVerify:
         res = verify_candidate(0, pts, Masses.equal(3))
         assert not res.certified
         assert res.message
+
+
+def test_golden_report_n6_10():
+    """All 39 listed n = 6..10 candidates, in file order with delta = 1e-6,
+    render byte for byte as stored: every verdict, permutation, retry count
+    and printed enclosure is pinned (the line axis is not printed)."""
+    results = [
+        verify_candidate(k, pts, Masses.equal(n), delta=1e-6)
+        for n in range(6, 11)
+        for k, pts in enumerate(load_listed(n))
+    ]
+    golden = (DATA_DIR / "golden_verify_n6_10.txt").read_text()
+    assert render_verify_report(results, 1e-6) == golden
