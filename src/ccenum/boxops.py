@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .interval import Interval
-
 _U = 2.0**-53  # unit roundoff
 _TINY = 5e-324
 _BUF = 1.0 + 2.0**-40  # absorbs rounding inside pad computations
@@ -24,16 +22,6 @@ def _dn(x):
 
 def _up(x):
     return np.nextafter(x, np.inf)
-
-
-def pack(intervals) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.array([iv.lo for iv in intervals], dtype=np.float64)
-    hi = np.array([iv.hi for iv in intervals], dtype=np.float64)
-    return lo, hi
-
-
-def unpack(lo: np.ndarray, hi: np.ndarray) -> list[Interval]:
-    return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def iadd(alo, ahi, blo, bhi):

@@ -34,7 +34,6 @@ class LineSymmetry:
     axis_x: Interval
     axis_y: Interval
     permutation: tuple[int, ...]
-    through_body: int  # the body whose bisector with body n-2 was tried
 
 
 @dataclass(frozen=True)
@@ -69,56 +68,85 @@ class CCRecord:
 
 
 # ---------------------------------------------------------------------------
-# geometry on full configurations (lists of (Interval, Interval) per body)
+# geometry on full configurations: bodies are a (lo, hi) pair of float64
+# arrays of shape (n, 2), x in column 0 and y in column 1; a single body or
+# an axis is a (lo, hi) pair of shape (2,)
 
 
-def full_bodies(box: ReducedBox, masses: Masses) -> list[tuple[Interval, Interval]]:
+def full_bodies(box: ReducedBox, masses: Masses) -> tuple[np.ndarray, np.ndarray]:
     """Positions of all n bodies of a reduced box, the derived last body
     included and body n-2 pinned to y = 0."""
     free = reduced_mod.box_to_free_arrays(box.lo, box.hi, masses.n)
     bxlo, bxhi, bylo, byhi = model.all_body_arrays(model.nbody_ctx(masses), *free)
-    return list(zip(bxo.unpack(bxlo, bxhi), bxo.unpack(bylo, byhi)))
+    return np.stack([bxlo, bylo], axis=-1), np.stack([bxhi, byhi], axis=-1)
 
 
-def _radius(b: tuple[Interval, Interval]) -> Interval:
-    return (b[0].sqr() + b[1].sqr()).sqrt()
+def _xy(bodies):
+    """The x and the y enclosures of bodies, each a (lo, hi) pair."""
+    lo, hi = bodies
+    return (lo[..., 0], hi[..., 0]), (lo[..., 1], hi[..., 1])
+
+
+def _bodies(x, y):
+    """Bodies from their x and y enclosures: the inverse of `_xy`."""
+    return np.stack([x[0], y[0]], axis=-1), np.stack([x[1], y[1]], axis=-1)
+
+
+def _norm2(bodies):
+    x, y = _xy(bodies)
+    return bxo.iadd(*bxo.isqr(*x), *bxo.isqr(*y))
+
+
+def _radius(bodies):
+    return bxo.isqrt(*_norm2(bodies))
+
+
+def _unit(v):
+    """Each vector of v divided by its length, or None when a length may vanish."""
+    rlo, rhi = _radius(v)
+    if np.any(rlo <= 0.0):
+        return None
+    return bxo.idiv_pos(*v, rlo[..., None], rhi[..., None])
+
+
+def _may_meet(a, b):
+    """Boolean (n, n) matrix: box i of a and box j of b may share a point."""
+    (alo, ahi), (blo, bhi) = a, b
+    meet = (alo[:, None] <= bhi[None, :]) & (blo[None, :] <= ahi[:, None])
+    return meet.reshape(meet.shape[:2] + (-1,)).all(axis=-1)
+
+
+def _mid(bodies):
+    return 0.5 * (bodies[0] + bodies[1])
 
 
 def reflect_ox(bodies):
-    return [(x, -y) for x, y in bodies]
+    x, (ylo, yhi) = _xy(bodies)
+    return _bodies(x, (-yhi, -ylo))
 
 
-def reflect_line(bodies, cx: Interval, cy: Interval):
-    """Reflect about the line t*(cx, cy); (cx, cy) encloses a unit vector."""
-    rxx = cx.sqr() - cy.sqr()
-    rxy = Interval(2.0) * cx * cy
-    out = []
-    for x, y in bodies:
-        out.append((rxx * x + rxy * y, rxy * x - rxx * y))
-    return out
+def reflect_line(bodies, axis):
+    """Reflect about the line t*axis; the axis encloses a unit vector."""
+    (cx, cy), (x, y) = _xy(axis), _xy(bodies)
+    rxx = bxo.isub(*bxo.isqr(*cx), *bxo.isqr(*cy))
+    rxy = bxo.iscale(*bxo.imul(*cx, *cy), 2.0)
+    rx = bxo.iadd(*bxo.imul(*rxx, *x), *bxo.imul(*rxy, *y))
+    ry = bxo.isub(*bxo.imul(*rxy, *x), *bxo.imul(*rxx, *y))
+    return _bodies(rx, ry)
 
 
 def bisector_direction(a, b):
-    """Enclosure of the internal bisector of the rays through a and b.
+    """Enclosure of the internal bisector of the rays through bodies a and b.
 
     Contains every possible true bisector of configurations in the boxes,
     as the asymmetry refutation requires.  Returns None when the rays may
     be opposite and the enclosure degenerates (then nothing can be refuted
     about this axis).
     """
-    ra = _radius(a)
-    rb = _radius(b)
-    if ra.lo <= 0.0 or rb.lo <= 0.0:
+    u = _unit((np.stack([a[0], b[0]]), np.stack([a[1], b[1]])))
+    if u is None:
         return None
-    ux, uy = a[0] / ra, a[1] / ra
-    vx, vy = b[0] / rb, b[1] / rb
-    wx = ux + vx
-    wy = uy + vy
-    norm2 = wx.sqr() + wy.sqr()
-    if norm2.lo <= 0.0:
-        return None
-    norm = norm2.sqrt()
-    return (wx / norm, wy / norm)
+    return _unit(bxo.iadd(u[0][0], u[1][0], u[0][1], u[1][1]))
 
 
 def approx_axis(a, b):
@@ -128,20 +156,16 @@ def approx_axis(a, b):
     they are nearly opposite).  Sound for proving a symmetry: the
     certification only needs some exact reflection inside the enclosure.
     """
-    ax, ay = _mid(a)
-    bx, by = _mid(b)
-    na = np.hypot(ax, ay)
-    nb = np.hypot(bx, by)
+    (ax, ay), (bx, by) = _mid(a), _mid(b)
+    na, nb = np.hypot(ax, ay), np.hypot(bx, by)
     if na == 0.0 or nb == 0.0:
         return None
     wx = ax / na + bx / nb
     wy = ay / na + by / nb
     if np.hypot(wx, wy) < 1e-9:
         wx, wy = -ay / na, ax / na
-    nx = Interval(wx)
-    ny = Interval(wy)
-    norm = (nx.sqr() + ny.sqr()).sqrt()
-    return (nx / norm, ny / norm)
+    w = np.array([wx, wy])
+    return _unit((w, w))
 
 
 def reflection_axis(bodies, sigma):
@@ -152,15 +176,15 @@ def reflection_axis(bodies, sigma):
     is perpendicular to q_k - q_sigma(k).  The k whose vector enclosure lies
     furthest from 0 is used; None when none excludes 0.
     """
-    sums = [(x + bodies[j][0], y + bodies[j][1]) for (x, y), j in zip(bodies, sigma)]
-    perps = [(bodies[j][1] - y, x - bodies[j][0]) for (x, y), j in zip(bodies, sigma)]
-    for cands in (sums, perps):
-        norm2, wx, wy = max(
-            ((wx.sqr() + wy.sqr(), wx, wy) for wx, wy in cands), key=lambda t: t[0].lo
-        )
-        if norm2.lo > 0.0:
-            norm = norm2.sqrt()
-            return (wx / norm, wy / norm)
+    lo, hi = bodies
+    j = list(sigma)
+    sums = bxo.iadd(lo, hi, lo[j], hi[j])
+    dx, (dylo, dyhi) = _xy(bxo.isub(lo, hi, lo[j], hi[j]))
+    for w in (sums, _bodies((-dyhi, -dylo), dx)):
+        k = int(np.argmax(_norm2(w)[0]))
+        axis = _unit((w[0][k], w[1][k]))
+        if axis is not None:
+            return axis
     return None
 
 
@@ -168,24 +192,14 @@ def regauge_to_reduced(bodies, masses: Masses):
     """Rotate the slot n-2 body onto the positive x axis and drop the gauge
     coordinates, giving reduced-box arrays enclosing the rotated zero."""
     n = masses.n
-    px, py = bodies[n - 2]
-    rho = _radius(bodies[n - 2])
-    if rho.lo <= 0.0 or px.lo <= 0.0:
+    lo, hi = bodies
+    cs = _unit((lo[n - 2], hi[n - 2]))
+    if cs is None or lo[n - 2, 0] <= 0.0:
         return None
-    c = px / rho
-    s = py / rho
-    rot = []
-    for x, y in bodies[: n - 1]:
-        rot.append((x * c + y * s, -(x * s) + y * c))
-    entries = []
-    for x, y in rot[: n - 2]:
-        entries += [x, y]
-    entries.append(rot[n - 2][0])
-    return bxo.pack(entries)
-
-
-def _mid(b):
-    return (b[0].mid, b[1].mid)
+    (c, s), (x, y) = _xy(cs), _xy((lo[: n - 1], hi[: n - 1]))
+    rx = bxo.iadd(*bxo.imul(*x, *c), *bxo.imul(*y, *s))
+    ry = bxo.isub(*bxo.imul(*y, *c), *bxo.imul(*x, *s))
+    return tuple(np.append(r[: n - 2].ravel(), r[n - 2, 0]) for r in _bodies(rx, ry))
 
 
 def candidate_pairings(image, orig, fixed: dict[int, int] | None = None, cap: int = 512):
@@ -194,30 +208,19 @@ def candidate_pairings(image, orig, fixed: dict[int, int] | None = None, cap: in
     Pruned by radius compatibility (a reflection or relabeling preserves
     |q|), nearest-match first.  `fixed` pins selected assignments.
     """
-    n = len(image)
-    rad_im = [_radius(b) for b in image]
-    rad_or = [_radius(b) for b in orig]
-    allowed = [
-        [j for j in range(n) if not rad_im[i].disjoint(rad_or[j])] for i in range(n)
-    ]
-    if fixed:
-        for i, j in fixed.items():
-            allowed[i] = [j] if j in allowed[i] else []
-    # nearest-match candidate
-    mids_im = [_mid(b) for b in image]
-    mids_or = [_mid(b) for b in orig]
-    nearest = []
-    for i in range(n):
-        best = min(
-            allowed[i],
-            key=lambda j: (mids_im[i][0] - mids_or[j][0]) ** 2
-            + (mids_im[i][1] - mids_or[j][1]) ** 2,
-            default=None,
-        )
-        nearest.append(best)
+    n = len(image[0])
+    rlo, rhi = _radius(tuple(np.concatenate(pair) for pair in zip(image, orig)))
+    meet = _may_meet((rlo[:n], rhi[:n]), (rlo[n:], rhi[n:]))
+    for i, j in (fixed or {}).items():
+        meet[i] &= np.arange(n) == j
+    allowed = [np.flatnonzero(row).tolist() for row in meet]
+    # nearest-match candidate, ties to the lowest j
+    (mx, my), (ox, oy) = _mid(image).T, _mid(orig).T
+    dist = np.where(meet, (mx[:, None] - ox) ** 2 + (my[:, None] - oy) ** 2, np.inf)
+    nearest = tuple(int(j) if meet[i, j] else None for i, j in enumerate(np.argmin(dist, axis=1)))
     emitted = 0
     if None not in nearest and len(set(nearest)) == n:
-        yield tuple(nearest)
+        yield nearest
         emitted += 1
 
     def dfs(i, used, acc):
@@ -226,7 +229,7 @@ def candidate_pairings(image, orig, fixed: dict[int, int] | None = None, cap: in
             return
         if i == n:
             sig = tuple(acc)
-            if sig != tuple(nearest):
+            if sig != nearest:
                 yield sig
             return
         for j in allowed[i]:
@@ -273,8 +276,7 @@ def blow_up(rctx, zlo, zhi, max_rounds: int = 8) -> str:
         mid = lo + 0.5 * (hi - lo)
         half = np.maximum(hi - mid, mid - lo)
         grown = np.maximum(half * 1.5, 1e-12)
-        lo = mid - grown
-        hi = mid + grown
+        lo, hi = mid - grown, mid + grown
     return "GiveUp"
 
 
@@ -292,6 +294,24 @@ def _hull_certifies(rctx, za, zb) -> bool:
     return blow_up(rctx, hlo, hhi) == "UniqueZero"
 
 
+def _certified_pairing(rctx, za, image, orig, masses: Masses, max_tries: int):
+    """The first candidate pairing sigma (image body i is orig body sigma(i))
+    under which the permuted, re-gauged image certifies as the zero in za;
+    None once max_tries hulls have failed."""
+    tried = 0
+    for sigma in candidate_pairings(image, orig, cap=max_tries):
+        inv = np.argsort(sigma)
+        zb = regauge_to_reduced((image[0][inv], image[1][inv]), masses)
+        if zb is None:
+            continue
+        if _hull_certifies(rctx, za, zb):
+            return sigma
+        tried += 1
+        if tried >= max_tries:
+            break
+    return None
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -301,45 +321,8 @@ def same_solution(a: SolutionBox, b: SolutionBox, masses: Masses, max_tries: int
     if a is b:
         return True
     rctx = reduced_mod.reduced_ctx(masses)
-    za = a.reduced.arrays()
-    bodies_a = full_bodies(a.reduced, masses)
-    bodies_b = full_bodies(b.reduced, masses)
-    tried = 0
-    for sigma in candidate_pairings(bodies_b, bodies_a, cap=max_tries):
-        inv = [0] * len(sigma)
-        for i, j in enumerate(sigma):
-            inv[j] = i
-        permuted = [bodies_b[inv[k]] for k in range(len(sigma))]
-        zb = regauge_to_reduced(permuted, masses)
-        if zb is None:
-            continue
-        if _hull_certifies(rctx, za, zb):
-            return True
-        tried += 1
-        if tried >= max_tries:
-            break
-    return False
-
-
-def _try_axis(rctx, s: SolutionBox, masses: Masses, reflected, bodies, max_tries: int = 12):
-    """Certify that the reflected configuration is the same zero; returns the
-    permutation on success."""
-    za = s.reduced.arrays()
-    tried = 0
-    for sigma in candidate_pairings(reflected, bodies, cap=max_tries):
-        inv = [0] * len(sigma)
-        for i, j in enumerate(sigma):
-            inv[j] = i
-        permuted = [reflected[inv[k]] for k in range(len(sigma))]
-        zr = regauge_to_reduced(permuted, masses)
-        if zr is None:
-            continue
-        if _hull_certifies(rctx, za, zr):
-            return sigma
-        tried += 1
-        if tried >= max_tries:
-            break
-    return None
+    image, orig = full_bodies(b.reduced, masses), full_bodies(a.reduced, masses)
+    return _certified_pairing(rctx, a.reduced.arrays(), image, orig, masses, max_tries) is not None
 
 
 def _axis_refuted(bodies, reflected, fixed) -> bool | None:
@@ -348,17 +331,8 @@ def _axis_refuted(bodies, reflected, fixed) -> bool | None:
     pairings, complete = all_pairings(reflected, bodies, fixed=fixed)
     if not complete:
         return None
-    for sigma in pairings:
-        ok = True
-        for k, j in enumerate(sigma):
-            rx, ry = reflected[k]
-            ox, oy = bodies[j]
-            if rx.disjoint(ox) or ry.disjoint(oy):
-                ok = False
-                break
-        if ok:
-            return False  # this pairing is not refuted
-    return True
+    meet = _may_meet(reflected, bodies)
+    return not any(meet[range(len(sigma)), sigma].all() for sigma in pairings)
 
 
 def symmetry_check(s: SolutionBox, masses: Masses) -> SymmetryResult:
@@ -366,17 +340,18 @@ def symmetry_check(s: SolutionBox, masses: Masses) -> SymmetryResult:
     asymmetry for a certified solution."""
     rctx = reduced_mod.reduced_ctx(masses)
     n = masses.n
+    za = s.reduced.arrays()
     bodies = full_bodies(s.reduced, masses)
-    ox_perm = _try_axis(rctx, s, masses, reflect_ox(bodies), bodies)
+    lo, hi = bodies
+    ox_perm = _certified_pairing(rctx, za, reflect_ox(bodies), bodies, masses, 12)
     line = None
     for i in range(n):
         if i == n - 2:
             continue
-        axis = approx_axis(bodies[n - 2], bodies[i])
+        axis = approx_axis((lo[n - 2], hi[n - 2]), (lo[i], hi[i]))
         if axis is None:
             continue
-        reflected = reflect_line(bodies, axis[0], axis[1])
-        sigma = _try_axis(rctx, s, masses, reflected, bodies)
+        sigma = _certified_pairing(rctx, za, reflect_line(bodies, axis), bodies, masses, 12)
         if sigma is None:
             continue
         # the certified map is the reflection about `axis` followed by the
@@ -384,27 +359,23 @@ def symmetry_check(s: SolutionBox, masses: Masses) -> SymmetryResult:
         # is enclosed from the bodies and sigma
         certified = reflection_axis(bodies, sigma)
         if certified is not None:
-            line = LineSymmetry(certified[0], certified[1], sigma, i)
+            (xlo, ylo), (xhi, yhi) = certified
+            line = LineSymmetry(Interval(xlo, xhi), Interval(ylo, yhi), sigma)
             break
     if ox_perm is not None or line is not None:
         return SymmetryResult(ox_perm, line, asymmetric=False)
 
     # attempt certified asymmetry: every admissible axis must be refuted
-    pin_rad = _radius(bodies[n - 2])
     refuted = _axis_refuted(bodies, reflect_ox(bodies), fixed={n - 2: n - 2})
     if refuted is not True:
         return SymmetryResult(None, None, asymmetric=False)
+    radii = _radius(bodies)
+    same_radius = _may_meet(radii, radii)[n - 2]
     for i in range(n):
-        if i == n - 2:
-            continue
-        if _radius(bodies[i]).disjoint(pin_rad):
+        if i == n - 2 or not same_radius[i]:
             continue  # no body could be the image of body n-2 along this ray
-        axis = bisector_direction(bodies[n - 2], bodies[i])
-        if axis is None:
-            return SymmetryResult(None, None, asymmetric=False)
-        reflected = reflect_line(bodies, axis[0], axis[1])
-        refuted = _axis_refuted(bodies, reflected, fixed=None)
-        if refuted is not True:
+        axis = bisector_direction((lo[n - 2], hi[n - 2]), (lo[i], hi[i]))
+        if axis is None or _axis_refuted(bodies, reflect_line(bodies, axis), None) is not True:
             return SymmetryResult(None, None, asymmetric=False)
     return SymmetryResult(None, None, asymmetric=True)
 
@@ -417,15 +388,14 @@ def detect_collinear(s: SolutionBox, masses: Masses) -> bool:
     each y to vanish exactly.
     """
     bodies = full_bodies(s.reduced, masses)
-    if any(not y.contains_zero() for _, y in bodies):
+    _, (ylo, yhi) = _xy(bodies)
+    if not np.all((ylo <= 0.0) & (0.0 <= yhi)):
         return False
     rctx = reduced_mod.reduced_ctx(masses)
-    za = s.reduced.arrays()
-    reflected = reflect_ox(bodies)
-    zr = regauge_to_reduced(reflected, masses)
+    zr = regauge_to_reduced(reflect_ox(bodies), masses)
     if zr is None:
         return False
-    return _hull_certifies(rctx, za, zr)
+    return _hull_certifies(rctx, s.reduced.arrays(), zr)
 
 
 def classify_solutions(solutions: list[SolutionBox], masses: Masses) -> list[CCRecord]:
@@ -433,15 +403,12 @@ def classify_solutions(solutions: list[SolutionBox], masses: Masses) -> list[CCR
     symmetry and collinearity of each."""
     records: list[CCRecord] = []
     for sol in solutions:
-        placed = False
         for rec in records:
             if any(same_solution(sol, mem, masses) for mem in rec.members):
                 rec.members.append(sol)
-                placed = True
                 break
-        if placed:
-            continue
-        records.append(CCRecord(representative=sol, members=[sol]))
+        else:
+            records.append(CCRecord(representative=sol, members=[sol]))
     for rec in records:
         rec.collinear = detect_collinear(rec.representative, masses)
         rec.symmetry = symmetry_check(rec.representative, masses)

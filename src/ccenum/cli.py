@@ -106,11 +106,14 @@ def cmd_search(args) -> int:
 
 def cmd_verify(args) -> int:
     text = Path(args.candidates).read_text()
-    configs = parse_candidates(text)
-    results = []
-    for k, pts in enumerate(configs):
-        masses = Masses.equal(len(pts))
-        results.append(verify_candidate(k, pts, masses, delta=args.delta))
+    try:
+        results = [
+            verify_candidate(k, pts, Masses.equal(len(pts)), delta=args.delta)
+            for k, pts in enumerate(parse_candidates(text))
+        ]
+    except ValueError as exc:
+        print(f"ccenum verify: {exc}", file=sys.stderr)
+        return 2
     out = report_mod.render_verify_report(results, args.delta)
     _emit(args.report, out)
     if args.svg_dir is not None:

@@ -303,14 +303,8 @@ class Interval:
 
     # -- set operations --------------------------------------------------------
 
-    def contains_zero(self) -> bool:
-        return self.lo <= 0.0 <= self.hi
-
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    def disjoint(self, other: "Interval") -> bool:
-        return self.hi < other.lo or other.hi < self.lo
 
     # -- metrics ---------------------------------------------------------------
 

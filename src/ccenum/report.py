@@ -24,8 +24,8 @@ def g10(x: float) -> str:
     return f"{x:.10g}"
 
 
-def fmt_iv(iv: Interval) -> str:
-    return f"[{g10(iv.lo)}, {g10(iv.hi)}]"
+def fmt_iv(lo: float, hi: float) -> str:
+    return f"[{g10(lo)}, {g10(hi)}]"
 
 
 USAGE_ORDER = (
@@ -54,10 +54,8 @@ def render_search_report(
     out.append(f"Accuracy eps = {cfg.eps:g}, bias = {cfg.bias:g}")
     out.append("")
     out.append("Input data:")
-    bodies = full_bodies(domain, masses)
-    for i, (x, y) in enumerate(bodies):
-        m = masses.values[i]
-        out.append(f"i: {i} X: {fmt_iv(x)} Y: {fmt_iv(y)} mass: {fmt_iv(m)}")
+    for body, m in zip(_body_lines(domain, masses), masses.values):
+        out.append(f"{body} mass: {fmt_iv(m.lo, m.hi)}")
     out.append("")
     out.append("")
     out.append(f"The number of undecided cubes: {stats.undecided}")
@@ -103,19 +101,25 @@ def render_search_report(
     return "\n".join(out)
 
 
+def _body_lines(box: ReducedBox, masses: Masses) -> list[str]:
+    lo, hi = full_bodies(box, masses)
+    return [
+        f"i: {i} X: {fmt_iv(xlo, xhi)} Y: {fmt_iv(ylo, yhi)}"
+        for i, ((xlo, ylo), (xhi, yhi)) in enumerate(zip(lo.tolist(), hi.tolist()))
+    ]
+
+
 def _render_record_block(rec: CCRecord, masses: Masses) -> list[str]:
     s = rec.representative
-    bodies = full_bodies(s.reduced, masses)
-    lines = []
-    for i, (x, y) in enumerate(bodies):
-        lines.append(f"i: {i} X: {fmt_iv(x)} Y: {fmt_iv(y)}")
-    lines.append("")
     sc = s.scalars
-    lines.append(f"U = {fmt_iv(sc.U)}, I = {fmt_iv(sc.I)},")
-    lines.append(f"U*(I)^(1/2)/(M)^(5/2) = {fmt_iv(sc.J)}")
-    lines.append(f"Moeckel's potential = {fmt_iv(sc.P_moeckel)}")
-    lines.append("")
-    return lines
+    U, I, J, P = (fmt_iv(v.lo, v.hi) for v in (sc.U, sc.I, sc.J, sc.P_moeckel))
+    return _body_lines(s.reduced, masses) + [
+        "",
+        f"U = {U}, I = {I},",
+        f"U*(I)^(1/2)/(M)^(5/2) = {J}",
+        f"Moeckel's potential = {P}",
+        "",
+    ]
 
 
 def render_verify_report(results, delta: float) -> str:
@@ -190,14 +194,18 @@ def dump_solutions(solutions: Iterable[SolutionBox], masses: Masses) -> str:
 
 def load_solutions(text: str, masses: Masses) -> list[SolutionBox]:
     """Solutions from `dump_solutions` text, re-derived from their boxes;
-    raises ValueError on a box `ReducedBox.from_arrays` refuses."""
+    raises ValueError on a line of another n than `masses` or a box
+    `ReducedBox.from_arrays` refuses."""
     rctx = reduced_mod.reduced_ctx(masses)
     out = []
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
-        pairs = json.loads(line)["reduced"]
+        rec = json.loads(line)
+        pairs = rec["reduced"]
+        if rec["n"] != masses.n or len(pairs) != reduced_mod.dim_for(masses.n):
+            raise ValueError(f"line for n = {rec['n']}, {len(pairs)} bounds, not n = {masses.n}")
         lo = [float.fromhex(a) for a, _ in pairs]
         hi = [float.fromhex(b) for _, b in pairs]
         out.append(make_solution(rctx, lo, hi, masses))
@@ -211,8 +219,8 @@ def load_solutions(text: str, masses: Masses) -> list[SolutionBox]:
 def render_svg(rec: CCRecord, masses: Masses, size: int = 360) -> str:
     """One figure per configuration: bodies as dots, certified symmetry
     lines in red, the derived body included (non-normative styling)."""
-    bodies = full_bodies(rec.representative.reduced, masses)
-    pts = [(x.mid, y.mid) for x, y in bodies]
+    lo, hi = full_bodies(rec.representative.reduced, masses)
+    pts = (0.5 * (lo + hi)).tolist()
     span = max(max(abs(px), abs(py)) for px, py in pts) * 1.25 + 1e-9
     scale = size / (2 * span)
 

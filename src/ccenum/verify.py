@@ -9,6 +9,7 @@ before the scalars and the symmetry verdict are computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,10 @@ def verify_candidate(
     delta: float = 1e-6,
     delta_max: float = 1e-3,
 ) -> VerifyResult:
+    """Certify one candidate from seed boxes of half-width delta, doubled on
+    failure up to delta_max; raises ValueError unless 0 < delta <= delta_max."""
+    if not (math.isfinite(delta) and 0.0 < delta <= delta_max):
+        raise ValueError(f"delta must be finite with 0 < delta <= {delta_max:g}, got {delta!r}")
     try:
         z = gauge_candidate(points, masses)
     except ValueError as exc:

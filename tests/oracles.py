@@ -9,6 +9,11 @@ from fractions import Fraction
 import numpy as np
 
 
+def disjoint(a, b) -> bool:
+    """Two enclosures with `lo` and `hi` bounds share no point."""
+    return a.hi < b.lo or b.hi < a.lo
+
+
 def reduced_point_to_bodies(z, n):
     """Bodies (n, 2) from reduced coordinates, equal masses."""
     q = np.zeros((n, 2))

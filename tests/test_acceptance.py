@@ -11,6 +11,7 @@ preservation in test_krawczyk and exclusion soundness in test_exclusion.
 import math
 import time
 
+import numpy as np
 import pytest
 
 from ccenum import classify
@@ -29,17 +30,17 @@ def _passline(text):
 def record_matches_points(rec, masses, pts, tol):
     """Body-wise match of a record against listed points, up to relabeling
     and the mirror freedom of the gauge."""
-    bodies = classify.full_bodies(rec.representative.reduced, masses)
+    lo, hi = classify.full_bodies(rec.representative.reduced, masses)
     for mirror in (False, True):
         cand = [(x, -y) if mirror else (x, y) for x, y in pts]
         used = set()
         ok = True
         for px, py in cand:
             hit = None
-            for k, (bx, by) in enumerate(bodies):
+            for k in range(len(lo)):
                 if k in used:
                     continue
-                if bx.inflate(tol).contains(px) and by.inflate(tol).contains(py):
+                if np.all((lo[k] - tol <= (px, py)) & ((px, py) <= hi[k] + tol)):
                     hit = k
                     break
             if hit is None:

@@ -128,7 +128,8 @@ class TestLinearAlgebra:
         exact = IntervalMatrix(rows).matvec(vec)
         Mlo = np.array([[e.lo for e in r] for r in rows])
         Mhi = np.array([[e.hi for e in r] for r in rows])
-        vlo, vhi = bxo.pack(vec)
+        vlo = np.array([e.lo for e in vec])
+        vhi = np.array([e.hi for e in vec])
         lo, hi = bxo.bmatvec_iv(Mlo[None], Mhi[None], vlo[None], vhi[None])
         for k in range(d):
             # the padded fast enclosure must contain the scalar tight one

@@ -1,6 +1,7 @@
 """Testing stage: solution equivalence, hull inflation, symmetry proofs
 and collinearity detection."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -95,8 +96,8 @@ class TestSymmetry:
         midpoints lands back inside the certified enclosures."""
         m = Masses.equal(3)
         sym = symmetry_check(equilateral3, m)
-        bodies = classify.full_bodies(equilateral3.reduced, m)
-        mids = [(x.mid, y.mid) for x, y in bodies]
+        lo, hi = classify.full_bodies(equilateral3.reduced, m)
+        mids = (0.5 * (lo + hi)).tolist()
         perm = sym.ox_permutation
         for i, (px, py) in enumerate(mids):
             rx, ry = px, -py
@@ -122,7 +123,8 @@ class TestSymmetry:
             cx, cy = line.axis_x.mid, line.axis_y.mid
             assert abs(np.hypot(cx, cy) - 1.0) < 1e-12
             rxx, rxy = cx * cx - cy * cy, 2.0 * cx * cy
-            mids = [(x.mid, y.mid) for x, y in classify.full_bodies(res.solution.reduced, m)]
+            lo, hi = classify.full_bodies(res.solution.reduced, m)
+            mids = (0.5 * (lo + hi)).tolist()
             for (px, py), j in zip(mids, line.permutation):
                 tx, ty = mids[j]
                 assert np.hypot(rxx * px + rxy * py - tx, rxy * px - rxx * py - ty) < 1e-6, k
@@ -137,12 +139,9 @@ class TestSymmetry:
         assert res.certified
         assert res.symmetry.verdict == "ProvedAsymmetric"
         # re-assert the disjointness that backs the verdict for the OX axis
-        bodies = classify.full_bodies(res.solution.reduced, Masses.equal(8))
-        refl = classify.reflect_ox(bodies)
-        assert any(
-            rx.disjoint(ox) or ry.disjoint(oy)
-            for (rx, ry), (ox, oy) in zip(refl, bodies)
-        )
+        lo, hi = classify.full_bodies(res.solution.reduced, Masses.equal(8))
+        rlo, rhi = classify.reflect_ox((lo, hi))
+        assert np.any((rhi < lo) | (hi < rlo))
 
 
 class TestDisjointHullSkip:
@@ -200,3 +199,144 @@ class TestCollinear:
         )
         sol = certified_solution(z, 5)
         assert detect_collinear(sol, Masses.equal(5))
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: the geometry written out here and evaluated in mpmath
+# interval arithmetic at 50 digits, at points of seeded body boxes.  The
+# boxes are points on even trials, and some bodies are placed where a
+# coordinate of the result cancels to nearly 0: there the rounding error of
+# an earlier step is no longer covered by the outward step of a later one.
+
+
+@pytest.fixture
+def iv():
+    saved = mpmath.iv.dps
+    mpmath.iv.dps = 50
+    try:
+        yield mpmath.iv
+    finally:
+        mpmath.iv.dps = saved
+
+
+def _boxes(rng, centers, trial):
+    w = 0.0 if trial % 2 == 0 else 10.0 ** rng.uniform(-12, -3, centers.shape)
+    return centers - w, centers + w
+
+
+def _points(rng, lo, hi, k=4):
+    """Random corners of the boxes, random points inside and both bounds."""
+    corners = np.where(rng.random((k,) + lo.shape) < 0.5, lo, hi)
+    inside = np.clip(lo + rng.random((k,) + lo.shape) * (hi - lo), lo, hi)
+    return np.concatenate([corners, inside, [lo, hi]])
+
+
+def _inside(lo, hi, exact) -> bool:
+    return all(a <= e.a and e.b <= b for a, b, e in zip(lo, hi, exact))
+
+
+def _mp_unit(iv, v):
+    r = iv.sqrt(v[0] ** 2 + v[1] ** 2)
+    return [v[0] / r, v[1] / r]
+
+
+class TestMpmathOracle:
+    """Each enclosure of the array geometry contains the exact image of
+    every sampled point of its input boxes."""
+
+    def test_reflect_line(self, iv):
+        rng = np.random.default_rng(4101)
+        for trial in range(30):
+            # near 45 degrees, c^2 - s^2 cancels
+            t = np.pi / 4 + rng.uniform(-1e-6, 1e-6) if trial % 3 == 0 else rng.uniform(0, 7)
+            c, s = np.cos(t), np.sin(t)
+            rxx, rxy = c * c - s * s, 2 * c * s
+            # bodies 0 and 1 are mapped near the y and the x axis
+            centers = np.concatenate(
+                [[rng.uniform(0.2, 1.5) * np.array([rxy, -rxx])],
+                 [rng.uniform(0.2, 1.5) * np.array([rxx, rxy])],
+                 rng.uniform(-1.5, 1.5, (3, 2))]
+            )
+            lo, hi = _boxes(rng, centers, trial)
+            axis = _boxes(rng, np.array([c, s]), trial)
+            rlo, rhi = classify.reflect_line((lo, hi), axis)
+            for p, (c, s) in zip(_points(rng, lo, hi), _points(rng, *axis)):
+                c, s = iv.mpf(c), iv.mpf(s)
+                rxx, rxy = c * c - s * s, 2 * c * s
+                for k, (x, y) in enumerate(p.tolist()):
+                    image = [rxx * x + rxy * y, rxy * x - rxx * y]
+                    assert _inside(rlo[k], rhi[k], image), (trial, k)
+
+    def test_regauge_to_reduced(self, iv):
+        rng = np.random.default_rng(4102)
+        n = 5
+        for trial in range(30):
+            pin = np.array([rng.uniform(0.3, 1.5), rng.uniform(-1.5, 1.5)])
+            # body 0 along body n-2 and body 1 across it: rotated y and x cancel
+            centers = np.concatenate(
+                [[rng.uniform(-1.5, 1.5) * pin],
+                 [rng.uniform(-1.5, 1.5) * np.array([-pin[1], pin[0]])],
+                 rng.uniform(-1.5, 1.5, (1, 2)), [pin], rng.uniform(-1.5, 1.5, (1, 2))]
+            )
+            lo, hi = _boxes(rng, centers, trial)
+            zlo, zhi = classify.regauge_to_reduced((lo, hi), Masses.equal(n))
+            for p in _points(rng, lo, hi):
+                q = [[iv.mpf(x), iv.mpf(y)] for x, y in p.tolist()]
+                c, s = _mp_unit(iv, q[n - 2])
+                rot = [[x * c + y * s, y * c - x * s] for x, y in q[: n - 1]]
+                exact = [v for body in rot[: n - 2] for v in body] + [rot[n - 2][0]]
+                assert _inside(zlo, zhi, exact), trial
+
+    def test_bisector_direction_holds_every_corner_bisector(self, iv):
+        """The asymmetry proof needs every true bisector inside, so each of
+        the 16 corner pairs of the two boxes is checked."""
+        rng = np.random.default_rng(4103)
+        for trial in range(30):
+            a = rng.uniform(-1.5, 1.5, 2)
+            # b mirrors a about the x or the y axis, so one sum of units cancels
+            flip = [(1, -1), (-1, 1), rng.uniform(-1.5, 1.5, 2) / a][trial % 3]
+            b = rng.uniform(0.2, 1.5) * np.multiply(flip, a)
+            lo, hi = _boxes(rng, np.array([a, b]), trial)
+            axis = classify.bisector_direction((lo[0], hi[0]), (lo[1], hi[1]))
+            assert axis is not None
+            corners = [np.where([i & 1, i & 2], hi, lo) for i in range(4)]
+            for ca in corners:
+                for cb in corners:
+                    u = _mp_unit(iv, [iv.mpf(v) for v in ca[0].tolist()])
+                    v = _mp_unit(iv, [iv.mpf(v) for v in cb[1].tolist()])
+                    assert _inside(*axis, _mp_unit(iv, [u[0] + v[0], u[1] + v[1]])), trial
+
+    @pytest.mark.parametrize("through_origin", [False, True])
+    def test_reflection_axis(self, iv, through_origin):
+        """Boxes around a configuration that a reflection maps onto itself,
+        swapping bodies 0 and 1 and fixing body 2.  With `through_origin`,
+        bodies 0 and 1 are opposite, every q_k + q_sigma(k) may vanish, and
+        the axis comes from the perpendicular of q_k - q_sigma(k).  For one
+        k and one of the two constructions, the enclosure holds the exact
+        unit vector at every sampled point."""
+        rng = np.random.default_rng(4104 + through_origin)
+        sigma = (1, 0, 2)
+        for trial in range(12):
+            t = rng.uniform(0.0, 2.0 * np.pi)
+            e = np.array([np.cos(t), np.sin(t)])
+            a = rng.uniform(-1.5, 1.5, 2)
+            if through_origin:
+                a -= (a @ e) * e  # q_0 on the normal, so its mirror image is -q_0
+                centers = np.array([a, -a, np.zeros(2)])
+            else:
+                centers = np.array([a, 2 * (a @ e) * e - a, rng.uniform(0.3, 1.5) * e])
+            lo, hi = _boxes(rng, centers, trial)
+            axis = classify.reflection_axis((lo, hi), sigma)
+            assert axis is not None
+            held = np.ones((2, 3), dtype=bool)  # [sum or perpendicular, k]
+            for p in _points(rng, lo, hi):
+                q = [[iv.mpf(x), iv.mpf(y)] for x, y in p.tolist()]
+                for k, j in enumerate(sigma):
+                    s = [q[k][0] + q[j][0], q[k][1] + q[j][1]]
+                    d = [q[j][1] - q[k][1], q[k][0] - q[j][0]]
+                    for m, w in enumerate((s, d)):
+                        if 0 in w[0] ** 2 + w[1] ** 2:
+                            held[m, k] = False
+                        else:
+                            held[m, k] &= _inside(*axis, _mp_unit(iv, w))
+            assert held.any(), trial

@@ -106,6 +106,29 @@ class TestVerifyCommand:
         assert "NOT PROVEN: the pinned and derived bodies may share x" in text
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "delta, text, message",
+        [
+            ("0", "-0.2886751346 -0.5\n0.5773502692 0\n-0.2886751346 0.5\n", "delta"),
+            ("-1e-6", "-0.2886751346 -0.5\n0.5773502692 0\n-0.2886751346 0.5\n", "delta"),
+            ("1e-6", "-0.2886751346 -0.5\n0.5773502692\n", "two coordinates"),
+        ],
+    )
+    def test_bad_input_exits_2(self, delta, text, message, tmp_path, monkeypatch, capsys):
+        """A delta the doubling can never lift to a certifiable box, or a
+        malformed candidates file, ends the run with a message before any
+        operator step."""
+        from ccenum import krawczyk
+
+        def stepped(*args):
+            raise AssertionError("an operator step ran")
+
+        monkeypatch.setattr(krawczyk, "iterate_arrays", stepped)
+        cand = tmp_path / "cands.txt"
+        cand.write_text(text)
+        assert main(["verify", "--candidates", str(cand), f"--delta={delta}"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_verify_failure_exit_code(self, tmp_path):
         cand = tmp_path / "bad.txt"
         cand.write_text("0 0\n0.5 0\n1.0 0\n")

@@ -1,8 +1,10 @@
-"""Dead-code tripwire: every top-level function and class of `src/ccenum`,
-and every method that is not a dunder, is referenced (as a name or an
-attribute) from some other definition there.  Strings and docstrings do
-not count, nor does module-level code such as `if __name__ == ...`.
-The few names allowed without a caller must really have none."""
+"""Dead-code tripwire: every top-level function and class of `src/ccenum`
+is referenced (as a name or an attribute) from some other definition
+there, and so is every method that is not a dunder, but as an attribute
+(`.name`) only: a local variable of the same name keeps no method alive.
+Strings and docstrings do not count, nor does module-level code such as
+`if __name__ == ...`.  The few names allowed without a caller must
+really have none."""
 
 import ast
 from pathlib import Path
@@ -24,18 +26,18 @@ ALLOWED = {
 }
 
 
-def _refs(*nodes) -> set[str]:
-    return {
-        sub.id if isinstance(sub, ast.Name) else sub.attr
-        for node in nodes
-        for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
-    }
+def _refs(*nodes) -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names the nodes reference."""
+    subs = [sub for node in nodes for sub in ast.walk(node)]
+    return (
+        {sub.id for sub in subs if isinstance(sub, ast.Name)},
+        {sub.attr for sub in subs if isinstance(sub, ast.Attribute)},
+    )
 
 
 def _units():
-    """(qualified name, bare name, names referenced by its own code) per
-    definition; a class's own code leaves out its methods."""
+    """(qualified name, bare name, (names, attributes) referenced by its own
+    code) per definition; a class's own code leaves out its methods."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -56,7 +58,12 @@ def test_every_definition_has_a_caller():
     for qual, name, _ in units:
         if name.startswith("__") and name.endswith("__"):
             continue
-        if not any(name in refs for other, _, refs in units if other != qual):
+        method = qual.count(".") == 2
+        if not any(
+            name in attrs or (name in names and not method)
+            for other, _, (names, attrs) in units
+            if other != qual
+        ):
             dead.append(qual)
     # an allowed class covers its methods
     unused = sorted(q for q in dead if q not in ALLOWED and q.rsplit(".", 1)[0] not in ALLOWED)

@@ -10,7 +10,6 @@ import pytest
 
 from ccenum import classify
 from ccenum import reduced as reduced_mod
-from ccenum.interval import Interval
 from ccenum.model import Masses
 from ccenum.reduced import ReducedBox, gauge_validity
 from oracles import fd_reduced_jacobian, reduced_residual as oracle_residual
@@ -159,14 +158,15 @@ class TestGaugeAndConversions:
         hi = lo + 2e-3
         rb = ReducedBox.from_arrays(lo, hi)
         assert [a.tolist() for a in rb.arrays()] == [lo.tolist(), hi.tolist()]
-        bodies = classify.full_bodies(rb, Masses.equal(4))
+        blo, bhi = classify.full_bodies(rb, Masses.equal(4))
+        assert blo.shape == bhi.shape == (4, 2)
         xlo, xhi, ylo, yhi = reduced_mod.box_to_free_arrays(lo, hi, 4)
         for k in range(3):
-            assert bodies[k] == (Interval(xlo[k], xhi[k]), Interval(ylo[k], yhi[k]))
-        assert bodies[2][1] == Interval(0.0)
+            assert blo[k].tolist() == [xlo[k], ylo[k]] and bhi[k].tolist() == [xhi[k], yhi[k]]
+        assert blo[2, 1] == bhi[2, 1] == 0.0
         mid = lo + 0.5 * (hi - lo)
-        assert bodies[3][0].contains(-(mid[0] + mid[2] + mid[4]))
-        assert bodies[3][1].contains(-(mid[1] + mid[3]))
+        last = [-(mid[0] + mid[2] + mid[4]), -(mid[1] + mid[3])]
+        assert np.all((blo[3] <= last) & (last <= bhi[3]))
 
     def test_gauge_validity_collinear(self):
         rb = box_from_point([-D3, 0.0, D3], 1e-6)

@@ -26,9 +26,9 @@ class TestSolutionsFile:
     def test_empty_dump(self):
         assert report_mod.dump_solutions([], Masses.equal(3)) == ""
 
-    def test_corrupted_line_rejected(self, run_n3):
-        """A line whose box is no box fails to load instead of loading a
-        solution that was never certified."""
+    def test_corrupted_line_rejected(self, run_n3, run_n4):
+        """A line whose box is no box, or a box of another n, fails to load
+        instead of loading a solution that was never certified."""
         m = run_n3.masses
         line = report_mod.dump_solutions(run_n3.solutions[:1], m)
         rec = json.loads(line)
@@ -38,6 +38,15 @@ class TestSolutionsFile:
             bad = json.dumps({**rec, "reduced": reduced})
             with pytest.raises(ValueError):
                 report_mod.load_solutions(line + bad + "\n", m)
+        # an n = 4 line loaded as n = 3 (it would get a J computed for 3
+        # bodies) or as n = 5 (numpy could not broadcast it)
+        line4 = report_mod.dump_solutions(run_n4.solutions[:1], run_n4.masses)
+        for n in (3, 5):
+            with pytest.raises(ValueError, match="n = 4"):
+                report_mod.load_solutions(line4, Masses.equal(n))
+        # the "n" field has to agree with the box as well
+        with pytest.raises(ValueError):
+            report_mod.load_solutions(json.dumps({**rec, "n": 4}) + "\n", m)
 
 
 def _normalize(text: str):

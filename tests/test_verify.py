@@ -55,6 +55,20 @@ class TestVerify:
         assert res.certified
         assert res.solution.scalars.P_moeckel.contains(3.0)
 
+    @pytest.mark.parametrize("delta", [0.0, -1e-6, 2e-3, float("nan"), float("inf")])
+    def test_delta_out_of_range_rejected(self, delta, monkeypatch):
+        """A delta doubling can never lift to a certifiable box (0, below
+        0, NaN) or one above delta_max is refused before any operator step."""
+        from ccenum import krawczyk
+
+        def stepped(*args):
+            raise AssertionError("an operator step ran")
+
+        monkeypatch.setattr(krawczyk, "iterate_arrays", stepped)
+        pts = [(-0.2886751346, -0.5), (0.5773502692, 0.0), (-0.2886751346, 0.5)]
+        with pytest.raises(ValueError, match="delta"):
+            verify_candidate(0, pts, Masses.equal(3), delta=delta)
+
     def test_garbage_candidate_fails(self):
         pts = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]
         res = verify_candidate(0, pts, Masses.equal(3))
