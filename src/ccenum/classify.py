@@ -25,6 +25,11 @@ from .reduced import ReducedBox
 from .search import SolutionBox
 
 MAX_PAIRINGS = 40320  # 8!; beyond this the enumeration reports incompleteness
+# hulls tried per question before giving up: same configuration, symmetry
+SAME_TRIES = 24
+SYMMETRY_TRIES = 12
+# times blow_up inflates a hull before giving up
+BLOW_UP_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ class CCRecord:
 def full_bodies(box: ReducedBox, masses: Masses) -> tuple[np.ndarray, np.ndarray]:
     """Positions of all n bodies of a reduced box, the derived last body
     included and body n-2 pinned to y = 0."""
-    free = reduced_mod.box_to_free_arrays(box.lo, box.hi, masses.n)
+    free = reduced_mod.box_to_free_arrays(box.lo, box.hi)
     bxlo, bxhi, bylo, byhi = model.all_body_arrays(model.nbody_ctx(masses), *free)
     return np.stack([bxlo, bylo], axis=-1), np.stack([bxhi, byhi], axis=-1)
 
@@ -199,14 +204,15 @@ def regauge_to_reduced(bodies, masses: Masses):
     (c, s), (x, y) = _xy(cs), _xy((lo[: n - 1], hi[: n - 1]))
     rx = bxo.iadd(*bxo.imul(*x, *c), *bxo.imul(*y, *s))
     ry = bxo.isub(*bxo.imul(*y, *c), *bxo.imul(*x, *s))
-    return tuple(np.append(r[: n - 2].ravel(), r[n - 2, 0]) for r in _bodies(rx, ry))
+    return reduced_mod.free_to_box(rx[0], ry[0]), reduced_mod.free_to_box(rx[1], ry[1])
 
 
-def candidate_pairings(image, orig, fixed: dict[int, int] | None = None, cap: int = 512):
+def candidate_pairings(image, orig, cap: int, fixed: dict[int, int] | None = None):
     """Permutations sigma with image body i matching orig body sigma(i).
 
     Pruned by radius compatibility (a reflection or relabeling preserves
-    |q|), nearest-match first.  `fixed` pins selected assignments.
+    |q|), nearest-match first, at most `cap` of them.  `fixed` pins
+    selected assignments.
     """
     n = len(image[0])
     rlo, rhi = _radius(tuple(np.concatenate(pair) for pair in zip(image, orig)))
@@ -247,13 +253,12 @@ def candidate_pairings(image, orig, fixed: dict[int, int] | None = None, cap: in
             return
 
 
-def all_pairings(image, orig, fixed=None, cap: int = MAX_PAIRINGS):
-    """Complete list of radius-compatible pairings, or (None, False) if capped."""
-    out = []
-    for sig in candidate_pairings(image, orig, fixed=fixed, cap=cap + 1):
-        out.append(sig)
-        if len(out) > cap:
-            return None, False
+def all_pairings(image, orig, fixed=None):
+    """Complete list of radius-compatible pairings, or (None, False) when
+    there are more than MAX_PAIRINGS."""
+    out = list(candidate_pairings(image, orig, MAX_PAIRINGS + 1, fixed=fixed))
+    if len(out) > MAX_PAIRINGS:
+        return None, False
     return out, True
 
 
@@ -261,23 +266,20 @@ def all_pairings(image, orig, fixed=None, cap: int = MAX_PAIRINGS):
 # hull certification
 
 
-def blow_up(rctx, zlo, zhi, max_rounds: int = 8) -> str:
-    """Certify a unique zero in the hull [zlo, zhi], inflating it up to
-    max_rounds times.
-
-    Returns "UniqueZero" or "GiveUp".  Width grows by 1.5 per round about
-    the fixed center.
-    """
+def blow_up(rctx, zlo, zhi) -> bool:
+    """True once a unique zero is certified in the hull [zlo, zhi], inflated
+    up to BLOW_UP_ROUNDS times; width grows by 1.5 per round about the
+    fixed center."""
     lo, hi = zlo, zhi
-    for _ in range(max_rounds + 1):
+    for _ in range(BLOW_UP_ROUNDS + 1):
         out = krawczyk.iterate_arrays(rctx, lo, hi)
         if out.tag == "unique_zero":
-            return "UniqueZero"
+            return True
         mid = lo + 0.5 * (hi - lo)
         half = np.maximum(hi - mid, mid - lo)
         grown = np.maximum(half * 1.5, 1e-12)
         lo, hi = mid - grown, mid + grown
-    return "GiveUp"
+    return False
 
 
 def _hull_certifies(rctx, za, zb) -> bool:
@@ -291,7 +293,7 @@ def _hull_certifies(rctx, za, zb) -> bool:
         return False
     hlo = np.minimum(za[0], zb[0])
     hhi = np.maximum(za[1], zb[1])
-    return blow_up(rctx, hlo, hhi) == "UniqueZero"
+    return blow_up(rctx, hlo, hhi)
 
 
 def _certified_pairing(rctx, za, image, orig, masses: Masses, max_tries: int):
@@ -299,7 +301,7 @@ def _certified_pairing(rctx, za, image, orig, masses: Masses, max_tries: int):
     under which the permuted, re-gauged image certifies as the zero in za;
     None once max_tries hulls have failed."""
     tried = 0
-    for sigma in candidate_pairings(image, orig, cap=max_tries):
+    for sigma in candidate_pairings(image, orig, max_tries):
         inv = np.argsort(sigma)
         zb = regauge_to_reduced((image[0][inv], image[1][inv]), masses)
         if zb is None:
@@ -316,13 +318,13 @@ def _certified_pairing(rctx, za, image, orig, masses: Masses, max_tries: int):
 # public operations
 
 
-def same_solution(a: SolutionBox, b: SolutionBox, masses: Masses, max_tries: int = 24) -> bool:
+def same_solution(a: SolutionBox, b: SolutionBox, masses: Masses) -> bool:
     """True iff a and b provably enclose the same configuration (mod relabeling)."""
     if a is b:
         return True
     rctx = reduced_mod.reduced_ctx(masses)
     image, orig = full_bodies(b.reduced, masses), full_bodies(a.reduced, masses)
-    return _certified_pairing(rctx, a.reduced.arrays(), image, orig, masses, max_tries) is not None
+    return _certified_pairing(rctx, a.reduced.arrays(), image, orig, masses, SAME_TRIES) is not None
 
 
 def _axis_refuted(bodies, reflected, fixed) -> bool | None:
@@ -343,7 +345,7 @@ def symmetry_check(s: SolutionBox, masses: Masses) -> SymmetryResult:
     za = s.reduced.arrays()
     bodies = full_bodies(s.reduced, masses)
     lo, hi = bodies
-    ox_perm = _certified_pairing(rctx, za, reflect_ox(bodies), bodies, masses, 12)
+    ox_perm = _certified_pairing(rctx, za, reflect_ox(bodies), bodies, masses, SYMMETRY_TRIES)
     line = None
     for i in range(n):
         if i == n - 2:
@@ -351,7 +353,9 @@ def symmetry_check(s: SolutionBox, masses: Masses) -> SymmetryResult:
         axis = approx_axis((lo[n - 2], hi[n - 2]), (lo[i], hi[i]))
         if axis is None:
             continue
-        sigma = _certified_pairing(rctx, za, reflect_line(bodies, axis), bodies, masses, 12)
+        sigma = _certified_pairing(
+            rctx, za, reflect_line(bodies, axis), bodies, masses, SYMMETRY_TRIES
+        )
         if sigma is None:
             continue
         # the certified map is the reflection about `axis` followed by the

@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import report as report_mod
-from .classify import classify_solutions
+from .classify import CCRecord, classify_solutions
 from .model import Masses
 from .search import ORDERINGS, SearchConfig, initial_domain, search
 from .verify import parse_candidates, verify_candidate
@@ -107,9 +107,12 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     text = Path(args.candidates).read_text()
     try:
+        candidates = parse_candidates(text)
+        if not candidates:
+            raise ValueError(f"no candidate in {args.candidates}")
         results = [
             verify_candidate(k, pts, Masses.equal(len(pts)), delta=args.delta)
-            for k, pts in enumerate(parse_candidates(text))
+            for k, pts in enumerate(candidates)
         ]
     except ValueError as exc:
         print(f"ccenum verify: {exc}", file=sys.stderr)
@@ -117,8 +120,6 @@ def cmd_verify(args) -> int:
     out = report_mod.render_verify_report(results, args.delta)
     _emit(args.report, out)
     if args.svg_dir is not None:
-        from .classify import CCRecord
-
         outdir = Path(args.svg_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         for res in results:

@@ -2,8 +2,9 @@
 configuration, or shrinking it.
 
 Execution order matches the search driver: a priori bounds, potential vs
-moment of inertia, cluster tests, body-order (domain normalization) test,
-then the residual zero check with refinement.  The battery is vectorized
+moment of inertia of the whole set (U = I), proper-cluster tests,
+body-order (domain normalization) test, then the residual zero check with
+refinement; each box is counted under the first test that fires.  The battery is vectorized
 over a batch of boxes (leading axis B) so the driver can amortize array
 overhead across the tree.  The cluster tests run only on near-collision
 boxes: their epsilon partitions come from a boolean transitive closure
@@ -19,6 +20,7 @@ import numpy as np
 from . import boxops as bxo
 from . import bounds as bounds_mod
 from . import model
+from . import reduced as reduced_mod
 from .interval import _add_down
 
 TEST_NAMES = ("checkAprioriBounds", "checkUEqI", "clusterTest", "distanceTest", "checkZero")
@@ -32,10 +34,6 @@ class _BatchFrame:
 
     __slots__ = (
         "n",
-        "xlo",
-        "xhi",
-        "ylo",
-        "yhi",
         "bxlo",
         "bxhi",
         "bylo",
@@ -55,15 +53,10 @@ class _BatchFrame:
     )
 
     def __init__(self, ctx, xlo, xhi, ylo, yhi):
-        n = ctx.n
-        self.n = n
-        self.xlo, self.xhi, self.ylo, self.yhi = xlo, xhi, ylo, yhi
-        self.bxlo, self.bxhi, self.bylo, self.byhi = model.all_body_arrays(
-            ctx, self.xlo, self.xhi, self.ylo, self.yhi
-        )
-        self.dxlo, self.dxhi, self.dylo, self.dyhi = model.pair_disp_arrays(
-            ctx, self.xlo, self.xhi, self.ylo, self.yhi
-        )
+        self.n = ctx.n
+        free = (xlo, xhi, ylo, yhi)
+        self.bxlo, self.bxhi, self.bylo, self.byhi = model.all_body_arrays(ctx, *free)
+        self.dxlo, self.dxhi, self.dylo, self.dyhi = model.pair_disp_arrays(ctx, *free)
         self.r2lo, self.r2hi = model.pair_r2_arrays(self.dxlo, self.dxhi, self.dylo, self.dyhi)
         self.rlo, self.rhi = bxo.isqrt(self.r2lo, self.r2hi)
         self.q2lo, self.q2hi = bxo.iadd(
@@ -116,18 +109,9 @@ class _BatchFrame:
 
 
 def u_eq_i_excluded_batch(ctx, fr: _BatchFrame) -> np.ndarray:
-    """Disjoint U and I enclosures contradict U = I; needs no collisions."""
-    ok = np.all(fr.pair_ok, axis=-1)
-    safe_rlo = np.where(fr.pair_ok, fr.rlo, 1.0)
-    ulo, uhi = bxo.idiv_pos(ctx.mmlo, ctx.mmhi, safe_rlo, np.maximum(fr.rhi, 1e-300))
-    Ulo, Uhi = bxo.isum(ulo, uhi, axis=-1)
-    ilo, ihi = bxo.imul(ctx.mlo, ctx.mhi, fr.q2lo, fr.q2hi)
-    Ilo, Ihi = bxo.isum(ilo, ihi, axis=-1)
-    return ok & ((Uhi < Ilo) | (Ihi < Ulo))
-
-
-def _fullset_fui_excluded_batch(ctx, fr: _BatchFrame) -> np.ndarray:
-    """Whole-set moment/potential test, both directions, collision tolerant."""
+    """Disjoint U and I enclosures contradict U = I.  Collision tolerant:
+    inf U stays valid when a distance may vanish (the potential only
+    grows), and sup U is used only on collision-free boxes."""
     with np.errstate(divide="ignore"):
         terms_lo = np.nextafter(ctx.mmlo / fr.rhi, -np.inf)
     k = ctx.P
@@ -189,10 +173,10 @@ def check_zero_batch(ctx, fr: _BatchFrame, zlo, zhi):
     )
     miss = (axhi < fr.bxlo) | (axlo > fr.bxhi) | (ayhi < fr.bylo) | (aylo > fr.byhi)
     excluded = np.any(miss & body_ok, axis=-1)
-    zb, za = ctx.z_body, ctx.z_axis
-    ref_lo = np.where(za == 0, axlo[..., zb], aylo[..., zb])
-    ref_hi = np.where(za == 0, axhi[..., zb], ayhi[..., zb])
-    coord_ok = body_ok[..., zb]
+    # the derived last body has no coordinate of its own
+    ref_lo = reduced_mod.free_to_box(axlo[..., :-1], aylo[..., :-1])
+    ref_hi = reduced_mod.free_to_box(axhi[..., :-1], ayhi[..., :-1])
+    coord_ok = reduced_mod.free_to_box(body_ok[..., :-1], body_ok[..., :-1])
     new_lo = np.where(coord_ok, np.maximum(zlo, ref_lo), zlo)
     new_hi = np.where(coord_ok, np.minimum(zhi, ref_hi), zhi)
     changed = np.any(new_lo > zlo, axis=-1) | np.any(new_hi < zhi, axis=-1)
@@ -261,14 +245,9 @@ def _cluster_zero_excluded(ctx, fr: _BatchFrame, members: frozenset[int]) -> boo
 
 
 def _cluster_fui_excluded(ctx, fr: _BatchFrame, members: frozenset[int]) -> bool:
-    """Moment/potential balance: no CC when sup I_C < inf U_C + inf F_C.
-
-    For the full set (F = 0) the complementary direction inf I > sup U is
-    checked as well; both need the cross pairs (if any) collision free.
-    """
-    n = fr.n
-    full = len(members) == n
-    mask = _member_mask(n, members)
+    """Moment/potential balance of a proper group: no CC when
+    sup I_C < inf U_C + inf F_C; needs the cross pairs collision free."""
+    mask = _member_mask(fr.n, members)
     in_i = mask[ctx.ii]
     in_j = mask[ctx.jj]
     intra = in_i & in_j
@@ -280,32 +259,18 @@ def _cluster_fui_excluded(ctx, fr: _BatchFrame, members: frozenset[int]) -> bool
     # inf U_C stays valid under intra-cluster collisions: zero distance only grows it
     k = int(np.count_nonzero(intra))
     U_lo = 0.0
-    U_hi: float | None = 0.0
     if k:
         with np.errstate(divide="ignore"):
             terms_lo = np.nextafter(ctx.mmlo / fr.rhi, -np.inf)
         U_lo = float(np.nextafter(np.sum(terms_lo, where=intra) * (1.0 - k * _U), -np.inf))
         U_lo = max(U_lo, 0.0)
-        if np.any(intra & (fr.rlo <= 0.0)):
-            U_hi = None
-        else:
-            safe_rlo = np.where(intra, fr.rlo, 1.0)
-            terms_hi = np.nextafter(ctx.mmhi / safe_rlo, np.inf)
-            U_hi = float(np.nextafter(np.sum(terms_hi, where=intra) * (1.0 + k * _U), np.inf))
     milo, mihi = bxo.imul(ctx.mlo, ctx.mhi, fr.q2lo, fr.q2hi)
-    I_lo, I_hi = map(float, bxo.isum(milo, mihi, axis=-1, where=mask))
-    if np.any(cross):
-        _, _, hi_, hj_ = fr.cluster_pair_terms(ctx)
-        t_lo = np.where(in_i, hi_[0], hj_[0])
-        t_hi = np.where(in_i, hi_[1], hj_[1])
-        F_lo, _ = map(float, bxo.isum(t_lo, t_hi, axis=-1, where=cross))
-    else:
-        F_lo = 0.0
-    if I_hi < _add_down(U_lo, F_lo):
-        return True
-    if full and U_hi is not None and I_lo > U_hi:
-        return True
-    return False
+    _, I_hi = map(float, bxo.isum(milo, mihi, axis=-1, where=mask))
+    _, _, hi_, hj_ = fr.cluster_pair_terms(ctx)
+    t_lo = np.where(in_i, hi_[0], hj_[0])
+    t_hi = np.where(in_i, hi_[1], hj_[1])
+    F_lo, _ = map(float, bxo.isum(t_lo, t_hi, axis=-1, where=cross))
+    return I_hi < _add_down(U_lo, F_lo)
 
 
 def cluster_test_excluded_single(ctx, fr: _BatchFrame, max_diam: float) -> bool:
@@ -394,7 +359,6 @@ def cluster_groups_excluded(ctx, fr: _BatchFrame, box: np.ndarray, mask: np.ndar
     F_lo, _ = bxo.isum(
         np.where(in_i, hi_[0], hj_[0]), np.where(in_i, hi_[1], hj_[1]), axis=-1, where=cross
     )
-    F_lo = np.where(np.any(cross, axis=-1), F_lo, 0.0)
     fui = collided | (I_hi < bxo.add_down(U_lo, F_lo))
     return ~blocked & (zero | fui)
 
@@ -420,10 +384,8 @@ def run_battery_batch(ctx, bset: bounds_mod.BoundSet, zlo, zhi, ordering: str):
     and out_lo/out_hi carry the (possibly checkZero-refined) boxes of the
     survivors.
     """
-    from . import reduced as reduced_mod
-
     B = zlo.shape[0]
-    fr = _BatchFrame(ctx, *reduced_mod.box_to_free_arrays(zlo, zhi, ctx.n))
+    fr = _BatchFrame(ctx, *reduced_mod.box_to_free_arrays(zlo, zhi))
     status = np.full(B, SURVIVED, dtype=np.int8)
 
     fired = bounds_mod.check_apriori_batch(bset, fr.q2lo, fr.q2hi, fr.rlo, fr.rhi)
@@ -436,12 +398,11 @@ def run_battery_batch(ctx, bset: bounds_mod.BoundSet, zlo, zhi, ordering: str):
 
     live = status == SURVIVED
     if np.any(live):
-        fired = _fullset_fui_excluded_batch(ctx, fr)
         max_diam = np.max(zhi - zlo, axis=-1)
-        idx = np.nonzero(cluster_candidates_needed(fr, max_diam) & live & ~fired)[0]
+        idx = np.nonzero(cluster_candidates_needed(fr, max_diam) & live)[0]
         if len(idx):
-            fired[idx] = cluster_test_excluded_batch(ctx, fr.take(idx), max_diam[idx])
-        status[fired & live] = 2
+            fired = cluster_test_excluded_batch(ctx, fr.take(idx), max_diam[idx])
+            status[idx[fired]] = 2
 
     live = status == SURVIVED
     if np.any(live):

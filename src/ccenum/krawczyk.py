@@ -27,6 +27,10 @@ from .errors import SingularMidpoint
 # C is rejected when max|C| * max|mid| exceeds this: the midpoint is then
 # numerically singular, and a Krawczyk step with such a C cannot contract
 GROWTH_MAX = 1e12
+# `contract` stops once every width is below CONTRACT_TOL, or after
+# CONTRACT_STEPS steps
+CONTRACT_TOL = 1e-13
+CONTRACT_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -219,7 +223,7 @@ def iterate_arrays(rctx, zlo, zhi, max_iter: int = 16) -> KrawczykOutcome:
     return iterate_batch(rctx, zlo[None, :], zhi[None, :], max_iter=max_iter)[0]
 
 
-def contract(rctx, zlo, zhi, tol: float = 1e-13, max_iter: int = 40):
+def contract(rctx, zlo, zhi):
     """Shrink a certified box toward its zero by repeated single operator
     steps, each kept while it certifies or refines the box.
 
@@ -227,8 +231,8 @@ def contract(rctx, zlo, zhi, tol: float = 1e-13, max_iter: int = 40):
     usually much tighter) enclosure of the same unique zero.
     """
     lo, hi = zlo, zhi
-    for _ in range(max_iter):
-        if np.max(hi - lo) < tol:
+    for _ in range(CONTRACT_STEPS):
+        if np.max(hi - lo) < CONTRACT_TOL:
             break
         out = iterate_arrays(rctx, lo, hi, max_iter=1)
         if out.tag != "unique_zero" and not out.refined:

@@ -116,15 +116,6 @@ class _Ctx:
             inc[i, p] = inc[j, p] = True
         self.acc_clo, self.acc_chi = clo, chi
         self.incidence = inc
-        # reduced-coordinate layout (x0, y0, ..., x_{n-3}, y_{n-3}, x_{n-2})
-        zb, za = [], []
-        for i in range(n - 2):
-            zb += [i, i]
-            za += [0, 1]
-        zb.append(n - 2)
-        za.append(0)
-        self.z_body = np.array(zb)
-        self.z_axis = np.array(za)
 
 
 @lru_cache(maxsize=32)

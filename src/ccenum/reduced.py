@@ -7,6 +7,13 @@ freedom) and that body's y equation is dropped.  The remaining
 2(n-1)-1 equations in as many unknowns are solved by the certification
 machinery; a zero with x_{n-2} != x_{n-1} is a genuine central
 configuration.
+
+Layout: a reduced vector z is the row-major flattening of the (n-1, 2)
+array of free bodies (x in column 0, y in column 1) without its last
+entry, the pinned y of body n-2, so z = (x0, y0, ..., x_{n-3}, y_{n-3},
+x_{n-2}) and entry k is axis k % 2 of body k // 2.  The residual and the
+rows and columns of the Jacobian follow the same rule.  `box_to_free_arrays`
+and `free_to_box` are the only code that applies it.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ def n_for_dim(d: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ReducedBox:
-    """Search-space element (x0, y0, ..., x_{n-3}, y_{n-3}, x_{n-2}) as
-    float64 bound arrays; build it with `from_arrays`, read it with `arrays`."""
+    """Search-space element: reduced-layout float64 bound arrays; build it
+    with `from_arrays`, read it with `arrays`."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -92,16 +99,6 @@ class _RCtx:
         self.mLi_lo, self.mLi_hi = bxo.iadd(
             np.full(n - 1, mctx.mlo[-1]), np.full(n - 1, mctx.mhi[-1]), mctx.mlo[:-1], mctx.mhi[:-1]
         )
-        # row/column layout of the reduced system
-        body = []
-        axis = []
-        for i in range(n - 2):
-            body += [i, i]
-            axis += [0, 1]
-        body.append(n - 2)
-        axis.append(0)
-        self.lay_body = np.array(body)
-        self.lay_axis = np.array(axis)
 
 
 @lru_cache(maxsize=32)
@@ -113,14 +110,23 @@ def reduced_ctx(masses: Masses) -> _RCtx:
     return _rctx_cached(masses.n, masses.key())
 
 
-def box_to_free_arrays(zlo, zhi, n: int):
-    """Free-body coordinate arrays from reduced boxes of shape (..., d)."""
-    zero = np.zeros(zlo.shape[:-1] + (1,))
-    xlo = np.concatenate([zlo[..., 0 : 2 * (n - 2) : 2], zlo[..., -1:]], axis=-1)
-    xhi = np.concatenate([zhi[..., 0 : 2 * (n - 2) : 2], zhi[..., -1:]], axis=-1)
-    ylo = np.concatenate([zlo[..., 1 : 2 * (n - 2) : 2], zero], axis=-1)
-    yhi = np.concatenate([zhi[..., 1 : 2 * (n - 2) : 2], zero], axis=-1)
-    return xlo, xhi, ylo, yhi
+def box_to_free_arrays(zlo, zhi):
+    """Free-body arrays (xlo, xhi, ylo, yhi) of shape (..., n-1) from reduced
+    boxes of shape (..., d); the pinned y of body n-2 is 0."""
+    lo, hi = _free_bodies(zlo), _free_bodies(zhi)
+    return lo[..., 0], hi[..., 0], lo[..., 1], hi[..., 1]
+
+
+def _free_bodies(z):
+    pinned = np.zeros(z.shape[:-1] + (1,))
+    return np.concatenate([z, pinned], axis=-1).reshape(z.shape[:-1] + (-1, 2))
+
+
+def free_to_box(x, y):
+    """Reduced vectors of shape (..., d) from free-body arrays of shape
+    (..., n-1): the inverse of `box_to_free_arrays`, dropping the y of body n-2."""
+    z = np.stack([x, y], axis=-1)
+    return z.reshape(z.shape[:-2] + (-1,))[..., :-1]
 
 
 def residual_masked(rctx: _RCtx, zlo, zhi):
@@ -131,7 +137,7 @@ def residual_masked(rctx: _RCtx, zlo, zhi):
     """
     mctx = rctx.m
     n = mctx.n
-    xlo, xhi, ylo, yhi = box_to_free_arrays(zlo, zhi, n)
+    xlo, xhi, ylo, yhi = box_to_free_arrays(zlo, zhi)
     d = model.pair_disp_arrays(mctx, xlo, xhi, ylo, yhi)
     r2lo, _ = model.pair_r2_arrays(*d)
     pair_ok = r2lo > 0.0
@@ -139,14 +145,8 @@ def residual_masked(rctx: _RCtx, zlo, zhi):
     axlo, axhi, aylo, ayhi = model.accel_arrays(mctx, *d, pair_mask=pair_ok)
     fxlo, fxhi = bxo.isub(xlo, xhi, axlo[..., : n - 1], axhi[..., : n - 1])
     fylo, fyhi = bxo.isub(ylo, yhi, aylo[..., : n - 1], ayhi[..., : n - 1])
-    out_lo = np.empty(zlo.shape)
-    out_hi = np.empty(zhi.shape)
-    out_lo[..., 0 : 2 * (n - 2) : 2] = fxlo[..., : n - 2]
-    out_hi[..., 0 : 2 * (n - 2) : 2] = fxhi[..., : n - 2]
-    out_lo[..., 1 : 2 * (n - 2) : 2] = fylo[..., : n - 2]
-    out_hi[..., 1 : 2 * (n - 2) : 2] = fyhi[..., : n - 2]
-    out_lo[..., -1] = fxlo[..., n - 2]
-    out_hi[..., -1] = fxhi[..., n - 2]
+    out_lo = free_to_box(fxlo, fylo)
+    out_hi = free_to_box(fxhi, fyhi)
     return out_lo, out_hi, ok
 
 
@@ -161,7 +161,7 @@ def jacobian_masked(rctx: _RCtx, zlo, zhi):
     n = mctx.n
     B = zlo.shape[0]
     dd = rctx.d
-    xlo, xhi, ylo, yhi = box_to_free_arrays(zlo, zhi, n)
+    xlo, xhi, ylo, yhi = box_to_free_arrays(zlo, zhi)
     dxlo, dxhi, dylo, dyhi = model.pair_disp_arrays(mctx, xlo, xhi, ylo, yhi)
     r2lo, _ = model.pair_r2_arrays(dxlo, dxhi, dylo, dyhi)
     ok = np.all(r2lo > 0.0, axis=-1)
@@ -207,9 +207,9 @@ def jacobian_masked(rctx: _RCtx, zlo, zhi):
         blocks_lo[:, code] = odlo
         blocks_hi[:, code] = odhi
 
-    codes = rctx.lay_axis[:, None] + rctx.lay_axis[None, :]
-    rb = rctx.lay_body[:, None]
-    cb = rctx.lay_body[None, :]
+    body, axis = divmod(np.arange(dd), 2)
+    codes = axis[:, None] + axis[None, :]
+    rb, cb = body[:, None], body[None, :]
     Jlo[idx] = blocks_lo[:, codes, rb, cb]
     Jhi[idx] = blocks_hi[:, codes, rb, cb]
     return Jlo, Jhi, ok
@@ -221,6 +221,6 @@ def jacobian_masked(rctx: _RCtx, zlo, zhi):
 
 def gauge_validity(zlo, zhi, masses: Masses) -> bool:
     """True iff the x enclosures of body n-2 and the derived body are disjoint."""
-    free = box_to_free_arrays(zlo, zhi, masses.n)
+    free = box_to_free_arrays(zlo, zhi)
     dlo, dhi, _, _ = model.derived_last_arrays(model.nbody_ctx(masses), *free)
     return bool(zhi[-1] < dlo or dhi < zlo[-1])

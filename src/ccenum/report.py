@@ -78,7 +78,7 @@ def render_search_report(
     for pos, rec in enumerate(records):
         out.append("---------------------")
         out.append(f"position {pos}")
-        out.extend(_render_record_block(rec, masses))
+        out.extend(_render_record_block(rec.representative, masses))
         if not rec.representative.gauge_valid:
             out.append("NOT PROVEN: the pinned and derived bodies may share x")
         if rec.collinear:
@@ -109,8 +109,7 @@ def _body_lines(box: ReducedBox, masses: Masses) -> list[str]:
     ]
 
 
-def _render_record_block(rec: CCRecord, masses: Masses) -> list[str]:
-    s = rec.representative
+def _render_record_block(s: SolutionBox, masses: Masses) -> list[str]:
     sc = s.scalars
     U, I, J, P = (fmt_iv(v.lo, v.hi) for v in (sc.U, sc.I, sc.J, sc.P_moeckel))
     return _body_lines(s.reduced, masses) + [
@@ -137,11 +136,7 @@ def render_verify_report(results, delta: float) -> str:
             continue
         certified += 1
         out.append(f"unique zero certified (delta = {res.delta_used:g})")
-        out.extend(
-            _render_record_block(
-                CCRecord(representative=res.solution, members=[res.solution]), res.masses
-            )
-        )
+        out.extend(_render_record_block(res.solution, res.masses))
         if not res.solution.gauge_valid:
             out.append("NOT PROVEN: the pinned and derived bodies may share x")
         if res.collinear:
@@ -216,9 +211,14 @@ def load_solutions(text: str, masses: Masses) -> list[SolutionBox]:
 # SVG figures
 
 
-def render_svg(rec: CCRecord, masses: Masses, size: int = 360) -> str:
+# width and height of the SVG figures, in pixels
+SVG_SIZE = 360
+
+
+def render_svg(rec: CCRecord, masses: Masses) -> str:
     """One figure per configuration: bodies as dots, certified symmetry
     lines in red, the derived body included (non-normative styling)."""
+    size = SVG_SIZE
     lo, hi = full_bodies(rec.representative.reduced, masses)
     pts = (0.5 * (lo + hi)).tolist()
     span = max(max(abs(px), abs(py)) for px, py in pts) * 1.25 + 1e-9

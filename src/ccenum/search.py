@@ -59,16 +59,18 @@ class SearchConfig:
 @dataclass
 class SearchStats:
     calls: int = 0
-    zeros_found: int = 0
     undecided: int = 0
     usage: dict = field(default_factory=dict)
+
+    @property
+    def zeros_found(self) -> int:
+        return self.usage.get("krawczyk.zeroInside", 0)
 
     def bump(self, name: str, k: int = 1) -> None:
         self.usage[name] = self.usage.get(name, 0) + k
 
     def merge(self, other: "SearchStats") -> None:
         self.calls += other.calls
-        self.zeros_found += other.zeros_found
         self.undecided += other.undecided
         for k, v in other.usage.items():
             self.bump(k, v)
@@ -88,15 +90,17 @@ def initial_domain(cfg: SearchConfig) -> ReducedBox:
     n = cfg.n
     span = float(n - 1)
     pad = 1e-3 * span
-    lo = np.full(reduced_mod.dim_for(n), -span - pad)
-    hi = np.full(reduced_mod.dim_for(n), span + pad)
-    # x0 <= 0 <= y0, y1 <= 0 and x_{n-2} >= 1/2
-    hi[0] = pad
-    lo[1] = -pad
-    if n > 3:
-        hi[3] = pad
-    lo[-1] = 0.5 - pad
-    return ReducedBox.from_arrays(lo, hi)
+    xlo, ylo = np.full((2, n - 1), -span - pad)
+    xhi, yhi = np.full((2, n - 1), span + pad)
+    # x0 <= 0 <= y0, y1 <= 0 and x_{n-2} >= 1/2 (for n = 3, body 1 is
+    # body n-2, whose y is pinned and not in the box)
+    xhi[0] = pad
+    ylo[0] = -pad
+    yhi[1] = pad
+    xlo[n - 2] = 0.5 - pad
+    return ReducedBox.from_arrays(
+        reduced_mod.free_to_box(xlo, ylo), reduced_mod.free_to_box(xhi, yhi)
+    )
 
 
 def split(lo: np.ndarray, hi: np.ndarray, coord: int, overlap: float):
@@ -128,7 +132,7 @@ def bisect_with_overlap(
 
 def make_solution(rctx, Klo, Khi, masses: Masses) -> SolutionBox:
     rb = ReducedBox.from_arrays(Klo, Khi)
-    sc = model.scalars(*reduced_mod.box_to_free_arrays(rb.lo, rb.hi, masses.n), masses)
+    sc = model.scalars(*reduced_mod.box_to_free_arrays(rb.lo, rb.hi), masses)
     gv = reduced_mod.gauge_validity(rb.lo, rb.hi, masses)
     return SolutionBox(reduced=rb, scalars=sc, gauge_valid=gv)
 
@@ -196,7 +200,6 @@ def _search_loop(rctx, bset, cfg: SearchConfig, masses: Masses, stack, budget=ma
             for outcome in kr.step(BATCH)[1]:
                 if outcome.tag == "unique_zero":
                     stats.bump("krawczyk.zeroInside")
-                    stats.zeros_found += 1
                     solutions.append(make_solution(rctx, outcome.lo, outcome.hi, masses))
                 elif outcome.tag == "no_zero":
                     stats.bump("krawczyk.noZeroInSet")

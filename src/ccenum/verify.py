@@ -20,6 +20,9 @@ from .classify import SymmetryResult
 from .model import Masses
 from .search import SolutionBox, make_solution
 
+# the largest seed half-width tried before a candidate counts as uncertified
+DELTA_MAX = 1e-3
+
 
 @dataclass
 class VerifyResult:
@@ -75,12 +78,8 @@ def gauge_candidate(points: list[tuple[float, float]], masses: Masses) -> np.nda
     rot[:, 1] = -pts[:, 0] * s + pts[:, 1] * c
     order = [i for i in range(n) if i != far]
     order.insert(n - 2, far)
-    rot = rot[order]
-    z = np.empty(2 * (n - 1) - 1)
-    z[0 : 2 * (n - 2) : 2] = rot[: n - 2, 0]
-    z[1 : 2 * (n - 2) : 2] = rot[: n - 2, 1]
-    z[-1] = rot[n - 2, 0]
-    return z
+    free = rot[order[: n - 1]]
+    return reduced_mod.free_to_box(free[:, 0], free[:, 1])
 
 
 def verify_candidate(
@@ -88,19 +87,18 @@ def verify_candidate(
     points: list[tuple[float, float]],
     masses: Masses,
     delta: float = 1e-6,
-    delta_max: float = 1e-3,
 ) -> VerifyResult:
     """Certify one candidate from seed boxes of half-width delta, doubled on
-    failure up to delta_max; raises ValueError unless 0 < delta <= delta_max."""
-    if not (math.isfinite(delta) and 0.0 < delta <= delta_max):
-        raise ValueError(f"delta must be finite with 0 < delta <= {delta_max:g}, got {delta!r}")
+    failure up to DELTA_MAX; raises ValueError unless 0 < delta <= DELTA_MAX."""
+    if not (math.isfinite(delta) and 0.0 < delta <= DELTA_MAX):
+        raise ValueError(f"delta must be finite with 0 < delta <= {DELTA_MAX:g}, got {delta!r}")
     try:
         z = gauge_candidate(points, masses)
     except ValueError as exc:
         return VerifyResult(index, False, None, None, None, None, masses, message=str(exc))
     rctx = reduced_mod.reduced_ctx(masses)
     d = delta
-    while d <= delta_max * (1 + 1e-12):
+    while d <= DELTA_MAX * (1 + 1e-12):
         outcome = krawczyk.iterate_arrays(rctx, z - d, z + d)
         if outcome.tag == "unique_zero":
             tight = krawczyk.contract(rctx, outcome.lo, outcome.hi)
@@ -109,6 +107,5 @@ def verify_candidate(
             col = classify.detect_collinear(sol, masses)
             return VerifyResult(index, True, d, sol, sym, col, masses)
         d *= 2.0
-    return VerifyResult(
-        index, False, None, None, None, None, masses, message="no certification up to delta_max"
-    )
+    message = f"no certification up to delta = {DELTA_MAX:g}"
+    return VerifyResult(index, False, None, None, None, None, masses, message=message)

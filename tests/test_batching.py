@@ -78,7 +78,7 @@ class TestRowsIndependentOfBatch:
     def test_accel(self, n):
         ctx = model.nbody_ctx(Masses.equal(n))
         lo, hi = seeded_boxes(n, 300, seed=20 + n, collision_free=True)
-        disp = model.pair_disp_arrays(ctx, *reduced_mod.box_to_free_arrays(lo, hi, n))
+        disp = model.pair_disp_arrays(ctx, *reduced_mod.box_to_free_arrays(lo, hi))
         mask = model.pair_r2_arrays(*disp)[0] > 0.0
         out = model.accel_arrays(ctx, *disp, pair_mask=mask)
         assert_rows_match(

@@ -112,12 +112,15 @@ class TestVerifyCommand:
             ("0", "-0.2886751346 -0.5\n0.5773502692 0\n-0.2886751346 0.5\n", "delta"),
             ("-1e-6", "-0.2886751346 -0.5\n0.5773502692 0\n-0.2886751346 0.5\n", "delta"),
             ("1e-6", "-0.2886751346 -0.5\n0.5773502692\n", "two coordinates"),
+            # no candidate proves nothing, so it is no "0 / 0 certified" with code 0
+            ("1e-6", "", "no candidate"),
+            ("0", "# x y per line\n\n# none listed\n", "no candidate"),
         ],
     )
     def test_bad_input_exits_2(self, delta, text, message, tmp_path, monkeypatch, capsys):
         """A delta the doubling can never lift to a certifiable box, or a
-        malformed candidates file, ends the run with a message before any
-        operator step."""
+        malformed or empty candidates file, ends the run with a message
+        before any operator step."""
         from ccenum import krawczyk
 
         def stepped(*args):

@@ -37,7 +37,7 @@ def reduced_frame(zlo, zhi):
     zlo, zhi = np.array([zlo], dtype=float), np.array([zhi], dtype=float)
     n = reduced_mod.n_for_dim(zlo.shape[1])
     ctx = model.nbody_ctx(Masses.equal(n))
-    return ctx, exclusion._BatchFrame(ctx, *reduced_mod.box_to_free_arrays(zlo, zhi, n)), zlo, zhi
+    return ctx, exclusion._BatchFrame(ctx, *reduced_mod.box_to_free_arrays(zlo, zhi)), zlo, zhi
 
 
 def equilateral_frame(w):
@@ -146,18 +146,14 @@ class TestClusterTests:
         assert group_excluded(ctx, fr, {0, 1})
         assert exclusion._cluster_fui_excluded(ctx, fr.take(0), frozenset({0, 1}))
 
-    def test_fui_whole_set_complementary(self):
-        ctx, fr = frame_around([(-2.0, 0.0), (2.0, 0.0), (0.0, 0.0)], 1e-4)
-        assert exclusion._fullset_fui_excluded_batch(ctx, fr).tolist() == [True]
-
     def test_true_cc_unknown(self):
         ctx, fr = equilateral_frame(1e-4)
         assert not group_excluded(ctx, fr, {0, 1})
-        assert exclusion._fullset_fui_excluded_batch(ctx, fr).tolist() == [False]
 
 
 class TestUEqI:
     def test_disjoint_excludes(self):
+        # spread out: inf I > sup U
         ctx, fr = frame_around([(-2.0, 0.0), (2.0, 0.0), (0.0, 0.0)], 1e-4)
         assert exclusion.u_eq_i_excluded_batch(ctx, fr).tolist() == [True]
 
@@ -166,8 +162,18 @@ class TestUEqI:
         assert exclusion.u_eq_i_excluded_batch(ctx, fr).tolist() == [False]
 
     def test_collision_skipped(self):
+        # bodies 0 and 1 may collide, so sup U is unbounded and only
+        # sup I < inf U could fire, which it does not here
         ctx, fr = body_frame([0.4, 0.45], [0.6, 0.65], [-0.1, -0.1], [0.1, 0.1])
+        assert not fr.pair_ok[0, 0]
         assert exclusion.u_eq_i_excluded_batch(ctx, fr).tolist() == [False]
+
+    def test_possible_collision_excluded(self):
+        # bodies 0 and 1 may collide, but even their farthest placement
+        # gives inf U > sup I: a zero distance would only raise U
+        ctx, fr = body_frame([0.0, 0.005], [0.01, 0.015], [-0.005, -0.005], [0.005, 0.005])
+        assert not fr.pair_ok[0, 0]
+        assert exclusion.u_eq_i_excluded_batch(ctx, fr).tolist() == [True]
 
 
 class TestDistanceOrder:
@@ -239,7 +245,6 @@ class TestSoundness:
                 assert not check_apriori_batch(bset, fr.q2lo, fr.q2hi, fr.rlo, fr.rhi)[0]
                 assert not exclusion.u_eq_i_excluded_batch(ctx, fr)[0], (n, pts)
                 assert not exclusion.check_zero_batch(ctx, fr, zlo, zhi)[0][0], (n, pts)
-                assert not exclusion._fullset_fui_excluded_batch(ctx, fr)[0], (n, pts)
                 # the proper groups at epsilon 0 and 2e-6
                 box, masks = exclusion.cluster_groups(ctx, fr, np.array([2e-6]))
                 assert not np.any(exclusion.cluster_groups_excluded(ctx, fr, box, masks))

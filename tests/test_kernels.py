@@ -463,7 +463,7 @@ class TestPairKernelsMatchPerKernel:
         rng = np.random.default_rng(55)
         z = rng.uniform(-1.3, 1.3, (3000, rctx.d))
         w = 10.0 ** rng.uniform(-12, -1, (3000, 1))
-        xlo, xhi, ylo, yhi = box_to_free_arrays(z - w, z + w, 5)
+        xlo, xhi, ylo, yhi = box_to_free_arrays(z - w, z + w)
         d = [c.reshape(-1) for c in pair_disp_arrays(rctx.m, xlo, xhi, ylo, yhi)]
         ok = bx.iadd(*bx.isqr(d[0], d[1]), *bx.isqr(d[2], d[3]))[0] > 0.0
         _check_pair(tuple(c[ok] for c in d), JAC_KINDS)

@@ -4,7 +4,8 @@ there, and so is every method that is not a dunder, but as an attribute
 (`.name`) only: a local variable of the same name keeps no method alive.
 Strings and docstrings do not count, nor does module-level code such as
 `if __name__ == ...`.  The few names allowed without a caller must
-really have none."""
+really have none.  Every attribute an `__init__` sets on `self` is read
+as an attribute somewhere else in `src/ccenum`."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,36 @@ def test_every_definition_has_a_caller():
     assert not stale, f"allowed but not defined: {stale}"
     called = sorted(set(ALLOWED) - set(dead))
     assert not called, f"allowed but called in src/ccenum, drop from ALLOWED: {called}"
+
+
+def test_every_init_attribute_is_read():
+    reads = set()
+    stored = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inits = [
+            (f"{path.stem}.{node.name}", m)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for m in node.body
+            if isinstance(m, ast.FunctionDef) and m.name == "__init__"
+        ]
+        in_init = {id(sub) for _, m in inits for sub in ast.walk(m)}
+        reads |= {
+            sub.attr
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Load)
+            and id(sub) not in in_init
+        }
+        stored += [
+            f"{cls}.{sub.attr}"
+            for cls, m in inits
+            for sub in ast.walk(m)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+        ]
+    unread = sorted(q for q in stored if q.rsplit(".", 1)[1] not in reads)
+    assert not unread, f"set in __init__ but never read in src/ccenum: {unread}"

@@ -160,13 +160,27 @@ class TestGaugeAndConversions:
         assert [a.tolist() for a in rb.arrays()] == [lo.tolist(), hi.tolist()]
         blo, bhi = classify.full_bodies(rb, Masses.equal(4))
         assert blo.shape == bhi.shape == (4, 2)
-        xlo, xhi, ylo, yhi = reduced_mod.box_to_free_arrays(lo, hi, 4)
+        xlo, xhi, ylo, yhi = reduced_mod.box_to_free_arrays(lo, hi)
         for k in range(3):
             assert blo[k].tolist() == [xlo[k], ylo[k]] and bhi[k].tolist() == [xhi[k], yhi[k]]
         assert blo[2, 1] == bhi[2, 1] == 0.0
         mid = lo + 0.5 * (hi - lo)
         last = [-(mid[0] + mid[2] + mid[4]), -(mid[1] + mid[3])]
         assert np.all((blo[3] <= last) & (last <= bhi[3]))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_layout_round_trip(self, n):
+        """`free_to_box` inverts `box_to_free_arrays` bit for bit on a batch,
+        the free bodies read z row by row, and the pinned y of body n-2 is 0."""
+        rng = np.random.default_rng(n)
+        z = rng.uniform(-2.0, 2.0, (4, reduced_mod.dim_for(n)))
+        xlo, xhi, ylo, yhi = reduced_mod.box_to_free_arrays(z, z + 1.0)
+        assert xlo.shape == ylo.shape == (4, n - 1)
+        assert np.all(ylo[:, -1] == 0.0) and np.all(yhi[:, -1] == 0.0)
+        assert xlo[:, 0].tolist() == z[:, 0].tolist() and ylo[:, 0].tolist() == z[:, 1].tolist()
+        assert xlo[:, -1].tolist() == z[:, -1].tolist()
+        assert reduced_mod.free_to_box(xlo, ylo).tolist() == z.tolist()
+        assert reduced_mod.free_to_box(xhi, yhi).tolist() == (z + 1.0).tolist()
 
     def test_gauge_validity_collinear(self):
         rb = box_from_point([-D3, 0.0, D3], 1e-6)
