@@ -146,6 +146,15 @@ class TestClusterTests:
         assert group_excluded(ctx, fr, {0, 1})
         assert exclusion._cluster_fui_excluded(ctx, fr.take(0), frozenset({0, 1}))
 
+    def test_fui_whole_set_complementary(self):
+        # the whole set is never a cluster group: its moment test is the
+        # U = I test, which excludes this spread-out box
+        ctx, fr = frame_around([(-2.0, 0.0), (2.0, 0.0), (0.0, 0.0)], 1e-4)
+        box, _ = exclusion.cluster_groups(ctx, fr, np.array([100.0]))
+        assert len(box) == 0
+        assert exclusion.cluster_test_excluded_batch(ctx, fr, np.array([100.0])).tolist() == [False]
+        assert exclusion.u_eq_i_excluded_batch(ctx, fr).tolist() == [True]
+
     def test_true_cc_unknown(self):
         ctx, fr = equilateral_frame(1e-4)
         assert not group_excluded(ctx, fr, {0, 1})
