@@ -112,7 +112,6 @@ def check_apriori_batch(
     bset: BoundSet,
     q2lo: np.ndarray,
     q2hi: np.ndarray,
-    rlo: np.ndarray,
     rhi: np.ndarray,
 ) -> np.ndarray:
     """Per-box violation verdicts over a batch (cheapest test first).

@@ -61,6 +61,21 @@ class SymmetryResult:
     def symmetric(self) -> bool:
         return self.ox_permutation is not None or self.line is not None
 
+    @property
+    def collinear(self) -> bool:
+        """True iff all bodies provably lie on the x axis, read from the OX
+        certificate: the reflection about the x axis certified with the
+        identity permutation.
+
+        Then the unique zero of the certified hull is both the solution and
+        its own mirror image with every body fixed, so every y is 0.  When
+        every y enclosure contains 0, the identity is the nearest-match
+        pairing and `symmetry_check` tries it first; if that hull does not
+        certify, collinearity has no proof.
+        """
+        perm = self.ox_permutation
+        return perm is not None and perm == tuple(range(len(perm)))
+
 
 @dataclass
 class CCRecord:
@@ -68,8 +83,7 @@ class CCRecord:
 
     representative: SolutionBox
     members: list[SolutionBox]
-    symmetry: SymmetryResult | None = None
-    collinear: bool = False
+    symmetry: SymmetryResult
 
 
 # ---------------------------------------------------------------------------
@@ -384,36 +398,15 @@ def symmetry_check(s: SolutionBox, masses: Masses) -> SymmetryResult:
     return SymmetryResult(None, None, asymmetric=True)
 
 
-def detect_collinear(s: SolutionBox, masses: Masses) -> bool:
-    """True iff all bodies provably lie on the x axis.
-
-    Every y enclosure must contain 0 and the reflection about the x axis
-    with the identity permutation must certify as the same zero, forcing
-    each y to vanish exactly.
-    """
-    bodies = full_bodies(s.reduced, masses)
-    _, (ylo, yhi) = _xy(bodies)
-    if not np.all((ylo <= 0.0) & (0.0 <= yhi)):
-        return False
-    rctx = reduced_mod.reduced_ctx(masses)
-    zr = regauge_to_reduced(reflect_ox(bodies), masses)
-    if zr is None:
-        return False
-    return _hull_certifies(rctx, s.reduced.arrays(), zr)
-
-
 def classify_solutions(solutions: list[SolutionBox], masses: Masses) -> list[CCRecord]:
     """Merge raw certified solutions into distinct records and settle the
-    symmetry and collinearity of each."""
-    records: list[CCRecord] = []
+    symmetry of each."""
+    classes: list[list[SolutionBox]] = []
     for sol in solutions:
-        for rec in records:
-            if any(same_solution(sol, mem, masses) for mem in rec.members):
-                rec.members.append(sol)
+        for members in classes:
+            if any(same_solution(sol, mem, masses) for mem in members):
+                members.append(sol)
                 break
         else:
-            records.append(CCRecord(representative=sol, members=[sol]))
-    for rec in records:
-        rec.collinear = detect_collinear(rec.representative, masses)
-        rec.symmetry = symmetry_check(rec.representative, masses)
-    return records
+            classes.append([sol])
+    return [CCRecord(m[0], m, symmetry_check(m[0], masses)) for m in classes]

@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import report as report_mod
-from .classify import CCRecord, classify_solutions
+from .classify import classify_solutions
 from .model import Masses
 from .search import ORDERINGS, SearchConfig, initial_domain, search
 from .verify import parse_candidates, verify_candidate
@@ -96,7 +96,8 @@ def cmd_search(args) -> int:
         outdir = Path(args.svg_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         for k, rec in enumerate(records):
-            (outdir / f"cc_n{args.n}_{k}.svg").write_text(report_mod.render_svg(rec, masses))
+            svg = report_mod.render_svg(rec.representative, rec.symmetry, masses)
+            (outdir / f"cc_n{args.n}_{k}.svg").write_text(svg)
     proof = stats.undecided == 0 and all(r.representative.gauge_valid for r in records)
     if not proof:
         print("NOT A PROOF: undecided cubes or gauge failures remain", file=sys.stderr)
@@ -124,15 +125,8 @@ def cmd_verify(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for res in results:
             if res.certified:
-                rec = CCRecord(
-                    representative=res.solution,
-                    members=[res.solution],
-                    symmetry=res.symmetry,
-                    collinear=res.collinear,
-                )
-                (outdir / f"candidate_{res.index}.svg").write_text(
-                    report_mod.render_svg(rec, res.masses)
-                )
+                svg = report_mod.render_svg(res.solution, res.symmetry, res.masses)
+                (outdir / f"candidate_{res.index}.svg").write_text(svg)
     proof = all(r.certified and r.solution.gauge_valid for r in results)
     return 0 if proof else 1
 

@@ -388,7 +388,7 @@ def run_battery_batch(ctx, bset: bounds_mod.BoundSet, zlo, zhi, ordering: str):
     fr = _BatchFrame(ctx, *reduced_mod.box_to_free_arrays(zlo, zhi))
     status = np.full(B, SURVIVED, dtype=np.int8)
 
-    fired = bounds_mod.check_apriori_batch(bset, fr.q2lo, fr.q2hi, fr.rlo, fr.rhi)
+    fired = bounds_mod.check_apriori_batch(bset, fr.q2lo, fr.q2hi, fr.rhi)
     status[fired] = 0
 
     live = status == SURVIVED

@@ -2,13 +2,12 @@
 
 Rounding strategy (global, see README): every elementary operation is
 computed in round-to-nearest and the result is adjusted outward by one
-representable step whenever it may be inexact.  Error-free transforms
-detect the exact cases, so e.g. [1,1] - [1,1] stays [0,0] while 1/[3,3]
-acquires positive width: two-sum for +/-, and for *, /, sqrt Dekker's
-two-product (the remainders a*b - p, a - q*b, s*s - a), with exact
-rational remainders as the fallback outside the range where the
-two-product is exact.  The adjustment-of-nearest scheme never touches the
-FPU rounding mode, hence is safe under any threading.
+representable step whenever it may be inexact.  The sign of the rounding
+error decides: two-sum gives it for +/-, and for *, /, sqrt it is the
+sign of an exact rational remainder (a*b - p, a - q*b, s*s - a), so e.g.
+[1,1] - [1,1] stays [0,0] while 1/[3,3] acquires positive width.  The
+adjustment-of-nearest scheme never touches the FPU rounding mode, hence
+is safe under any threading.
 """
 
 from __future__ import annotations
@@ -56,63 +55,22 @@ def _add_up(a: float, b: float) -> float:
     return _next_up(s) if (e > 0 or math.isnan(e)) else s
 
 
-# Error-free products (Dekker 1971, Veltkamp splitting).  Every step is
-# exact when the factors are below 2**995 (the split does not overflow) and
-# 2**-969 < |fl(a*b)| < 2**1020: the product is normal, ulp(a)*ulp(b) >=
-# 2**-1074 so the partial products and their sums stay on a representable
-# grid, and no partial product overflows.  Outside that range the
-# remainders fall back to exact rationals.
-_SPLIT = 134217729.0  # 2**27 + 1
-_FACTOR_MAX = 2.0**995
-_PROD_MIN = 2.0**-969
-_PROD_MAX = 2.0**1020
-
-
-def _split(a: float) -> tuple[float, float]:
-    t = _SPLIT * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_prod_err(a: float, b: float, p: float) -> float | None:
-    """a*b - p exactly for p = fl(a*b), or None outside the exact range."""
-    if not (
-        abs(a) < _FACTOR_MAX and abs(b) < _FACTOR_MAX and _PROD_MIN < abs(p) < _PROD_MAX
-    ):
-        return None
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-
-
 def _mul_rem(a: float, b: float, p: float) -> float | Fraction:
     """a*b - p, exact."""
     if p == 0.0 and (a == 0.0 or b == 0.0):
         return 0.0
-    e = _two_prod_err(a, b, p)
-    return Fraction(a) * Fraction(b) - Fraction(p) if e is None else e
+    return Fraction(a) * Fraction(b) - Fraction(p)
 
 
 def _div_rem(a: float, b: float, q: float) -> float | Fraction:
-    """A number with the sign of a - q*b, for q = fl(a/b)."""
+    """a - q*b, exact."""
     if a == 0.0 and math.isfinite(b):
         return 0.0
-    qb = q * b
-    e = _two_prod_err(q, b, qb)
-    if e is not None and (qb > 0.0) == (a > 0.0) and 0.5 * abs(a) <= abs(qb) <= 2.0 * abs(a):
-        # a - qb is exact (Sterbenz); rounding the last difference keeps its sign
-        return (a - qb) - e
     return Fraction(a) - Fraction(q) * Fraction(b)
 
 
-def _sqrt_rem(a: float, s: float) -> float | Fraction:
-    """A number with the sign of s*s - a, for s = fl(sqrt(a)), a > 0."""
-    ss = s * s
-    e = _two_prod_err(s, s, ss)
-    if e is not None:
-        # ss is normal, so is a, and ss lies within a few ulps of a: ss - a is
-        # exact (Sterbenz), and rounding the sum keeps its sign
-        return (ss - a) + e
+def _sqrt_rem(a: float, s: float) -> Fraction:
+    """s*s - a, exact, for s = fl(sqrt(a))."""
     return Fraction(s) * Fraction(s) - Fraction(a)
 
 

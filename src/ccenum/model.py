@@ -202,15 +202,12 @@ def pair_r2_arrays(dxlo, dxhi, dylo, dyhi):
 ACCEL_KINDS = ((1, 3, "X"), (1, 3, "Y"))
 
 
-def accel_arrays(ctx: _Ctx, dxlo, dxhi, dylo, dyhi, pair_mask=None):
+def accel_arrays(ctx: _Ctx, dxlo, dxhi, dylo, dyhi, pair_mask):
     """Enclosures of sum_j (m_j/r^3)(q_i - q_j) for every body i, (..., n).
 
     `pair_mask` marks the pairs that are collision-free; masked-out pairs
     contribute nothing and the caller must not use rows touching them.
     """
-    n = ctx.n
-    if pair_mask is None:
-        pair_mask = np.ones(dxlo.shape, dtype=bool)
     kxlo = np.zeros(dxlo.shape)
     kxhi = np.zeros(dxlo.shape)
     kylo = np.zeros(dxlo.shape)

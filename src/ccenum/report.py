@@ -13,7 +13,7 @@ import json
 from typing import Iterable
 
 from . import reduced as reduced_mod
-from .classify import CCRecord, full_bodies
+from .classify import CCRecord, SymmetryResult, full_bodies
 from .interval import Interval
 from .model import Masses
 from .reduced import ReducedBox
@@ -81,17 +81,17 @@ def render_search_report(
         out.extend(_render_record_block(rec.representative, masses))
         if not rec.representative.gauge_valid:
             out.append("NOT PROVEN: the pinned and derived bodies may share x")
-        if rec.collinear:
+        sym = rec.symmetry
+        if sym.collinear:
             collinear_no += 1
             out.append(f"collinear solution no {collinear_no}")
-        sym = rec.symmetry
-        if sym is not None and sym.ox_permutation is not None:
+        if sym.ox_permutation is not None:
             ox_no += 1
             out.append("permutation: " + "".join(f"{p}, " for p in sym.ox_permutation).rstrip())
             out.append(f"symmetric with respect to OX no {ox_no}")
         else:
             out.append("there is no symmetry with respect to OX")
-        if sym is not None and sym.line is not None:
+        if sym.line is not None:
             line_no += 1
             out.append("permutation: " + "".join(f"{p}, " for p in sym.line.permutation).rstrip())
             out.append(f"reflectional symmetry with respect to other line {line_no}")
@@ -139,9 +139,9 @@ def render_verify_report(results, delta: float) -> str:
         out.extend(_render_record_block(res.solution, res.masses))
         if not res.solution.gauge_valid:
             out.append("NOT PROVEN: the pinned and derived bodies may share x")
-        if res.collinear:
-            out.append("collinear solution")
         sym = res.symmetry
+        if sym.collinear:
+            out.append("collinear solution")
         if sym.ox_permutation is not None:
             out.append("permutation: " + "".join(f"{p}, " for p in sym.ox_permutation).rstrip())
             out.append("symmetric with respect to OX")
@@ -191,7 +191,6 @@ def load_solutions(text: str, masses: Masses) -> list[SolutionBox]:
     """Solutions from `dump_solutions` text, re-derived from their boxes;
     raises ValueError on a line of another n than `masses` or a box
     `ReducedBox.from_arrays` refuses."""
-    rctx = reduced_mod.reduced_ctx(masses)
     out = []
     for line in text.splitlines():
         line = line.strip()
@@ -203,7 +202,7 @@ def load_solutions(text: str, masses: Masses) -> list[SolutionBox]:
             raise ValueError(f"line for n = {rec['n']}, {len(pairs)} bounds, not n = {masses.n}")
         lo = [float.fromhex(a) for a, _ in pairs]
         hi = [float.fromhex(b) for _, b in pairs]
-        out.append(make_solution(rctx, lo, hi, masses))
+        out.append(make_solution(lo, hi, masses))
     return out
 
 
@@ -215,11 +214,11 @@ def load_solutions(text: str, masses: Masses) -> list[SolutionBox]:
 SVG_SIZE = 360
 
 
-def render_svg(rec: CCRecord, masses: Masses) -> str:
+def render_svg(solution: SolutionBox, symmetry: SymmetryResult, masses: Masses) -> str:
     """One figure per configuration: bodies as dots, certified symmetry
     lines in red, the derived body included (non-normative styling)."""
     size = SVG_SIZE
-    lo, hi = full_bodies(rec.representative.reduced, masses)
+    lo, hi = full_bodies(solution.reduced, masses)
     pts = (0.5 * (lo + hi)).tolist()
     span = max(max(abs(px), abs(py)) for px, py in pts) * 1.25 + 1e-9
     scale = size / (2 * span)
@@ -237,12 +236,11 @@ def render_svg(rec: CCRecord, masses: Masses) -> str:
         f'<line x1="0" y1="{size/2}" x2="{size}" y2="{size/2}" stroke="#ccc"/>',
         f'<line x1="{size/2}" y1="0" x2="{size/2}" y2="{size}" stroke="#ccc"/>',
     ]
-    sym = rec.symmetry
     axes = []
-    if sym is not None and sym.ox_permutation is not None:
+    if symmetry.ox_permutation is not None:
         axes.append((1.0, 0.0))
-    if sym is not None and sym.line is not None:
-        axes.append((sym.line.axis_x.mid, sym.line.axis_y.mid))
+    if symmetry.line is not None:
+        axes.append((symmetry.line.axis_x.mid, symmetry.line.axis_y.mid))
     for cx, cy in axes:
         parts.append(
             f'<line x1="{sx(-span * cx):.2f}" y1="{sy(-span * cy):.2f}" '

@@ -130,7 +130,7 @@ def bisect_with_overlap(
     return ReducedBox.from_arrays(*left), ReducedBox.from_arrays(*right)
 
 
-def make_solution(rctx, Klo, Khi, masses: Masses) -> SolutionBox:
+def make_solution(Klo, Khi, masses: Masses) -> SolutionBox:
     rb = ReducedBox.from_arrays(Klo, Khi)
     sc = model.scalars(*reduced_mod.box_to_free_arrays(rb.lo, rb.hi), masses)
     gv = reduced_mod.gauge_validity(rb.lo, rb.hi, masses)
@@ -200,7 +200,7 @@ def _search_loop(rctx, bset, cfg: SearchConfig, masses: Masses, stack, budget=ma
             for outcome in kr.step(BATCH)[1]:
                 if outcome.tag == "unique_zero":
                     stats.bump("krawczyk.zeroInside")
-                    solutions.append(make_solution(rctx, outcome.lo, outcome.hi, masses))
+                    solutions.append(make_solution(outcome.lo, outcome.hi, masses))
                 elif outcome.tag == "no_zero":
                     stats.bump("krawczyk.noZeroInSet")
                 else:

@@ -31,7 +31,6 @@ class VerifyResult:
     delta_used: float | None
     solution: SolutionBox | None
     symmetry: SymmetryResult | None
-    collinear: bool | None
     masses: Masses | None = None
     message: str = ""
 
@@ -95,17 +94,16 @@ def verify_candidate(
     try:
         z = gauge_candidate(points, masses)
     except ValueError as exc:
-        return VerifyResult(index, False, None, None, None, None, masses, message=str(exc))
+        return VerifyResult(index, False, None, None, None, masses, message=str(exc))
     rctx = reduced_mod.reduced_ctx(masses)
     d = delta
     while d <= DELTA_MAX * (1 + 1e-12):
         outcome = krawczyk.iterate_arrays(rctx, z - d, z + d)
         if outcome.tag == "unique_zero":
             tight = krawczyk.contract(rctx, outcome.lo, outcome.hi)
-            sol = make_solution(rctx, tight[0], tight[1], masses)
+            sol = make_solution(tight[0], tight[1], masses)
             sym = classify.symmetry_check(sol, masses)
-            col = classify.detect_collinear(sol, masses)
-            return VerifyResult(index, True, d, sol, sym, col, masses)
+            return VerifyResult(index, True, d, sol, sym, masses)
         d *= 2.0
     message = f"no certification up to delta = {DELTA_MAX:g}"
-    return VerifyResult(index, False, None, None, None, None, masses, message=message)
+    return VerifyResult(index, False, None, None, None, masses, message=message)

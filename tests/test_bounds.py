@@ -19,7 +19,7 @@ def excluded(b, xlo, xhi, ylo, yhi) -> bool:
     free-body coordinate ranges."""
     ctx = model.nbody_ctx(Masses.equal(b.n))
     fr = exclusion._BatchFrame(ctx, *(np.array([v], dtype=float) for v in (xlo, xhi, ylo, yhi)))
-    return bool(check_apriori_batch(b, fr.q2lo, fr.q2hi, fr.rlo, fr.rhi)[0])
+    return bool(check_apriori_batch(b, fr.q2lo, fr.q2hi, fr.rhi)[0])
 
 
 def around(bodies, w):

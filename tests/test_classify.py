@@ -7,7 +7,7 @@ import pytest
 
 from ccenum import classify
 from ccenum import reduced as reduced_mod
-from ccenum.classify import blow_up, detect_collinear, same_solution, symmetry_check
+from ccenum.classify import SymmetryResult, blow_up, same_solution, symmetry_check
 from ccenum.model import Masses
 from ccenum.search import make_solution
 from oracles import newton_polish
@@ -22,7 +22,7 @@ def certified_solution(z, n, w=1e-5):
     rctx = reduced_mod.reduced_ctx(m)
     out = krawczyk.iterate_arrays(rctx, z - w, z + w)
     assert out.tag == "unique_zero", "test setup expects a certifiable seed"
-    return make_solution(rctx, out.lo, out.hi, m)
+    return make_solution(out.lo, out.hi, m)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ class TestSameSolution:
     def test_relabeled_same_zero(self, run_n4):
         """The two collinear labelings found by the search merge."""
         m = run_n4.masses
-        col = [r for r in run_n4.records if r.collinear]
+        col = [r for r in run_n4.records if r.symmetry.collinear]
         assert len(col) == 1
         assert len(col[0].members) >= 2
 
@@ -187,18 +187,27 @@ class TestDisjointHullSkip:
 
 
 class TestCollinear:
+    """Collinearity is read from the OX certificate of `symmetry_check`."""
+
     def test_collinear_detected(self, collinear3):
-        assert detect_collinear(collinear3, Masses.equal(3))
+        assert symmetry_check(collinear3, Masses.equal(3)).collinear
 
     def test_equilateral_not_collinear(self, equilateral3):
-        assert not detect_collinear(equilateral3, Masses.equal(3))
+        assert not symmetry_check(equilateral3, Masses.equal(3)).collinear
 
     def test_collinear_n5(self):
         z = newton_polish(
             np.array([-1.019255982, 0.0, -0.480767439, 0.0, 0.480767439, 0.0, 1.019255982]), 5
         )
         sol = certified_solution(z, 5)
-        assert detect_collinear(sol, Masses.equal(5))
+        assert symmetry_check(sol, Masses.equal(5)).collinear
+
+    def test_only_the_identity_is_collinear(self):
+        """A certified OX permutation that moves a body, or none, proves no
+        collinearity; the identity does."""
+        for perm in ((1, 0, 2), (0, 2, 1, 3), None):
+            assert not SymmetryResult(perm, None, asymmetric=False).collinear
+        assert SymmetryResult((0, 1, 2, 3), None, asymmetric=False).collinear
 
 
 # ---------------------------------------------------------------------------

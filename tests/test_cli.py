@@ -71,6 +71,28 @@ class TestVerifyCommand:
         assert "Certified candidates: 2 / 2" in text
         assert "collinear solution" in text
 
+    def test_svg_dir(self, tmp_path):
+        """One figure per certified candidate, named by its index; the
+        symmetric equilateral triangle's figure draws its axis in red."""
+        cand = tmp_path / "cands.txt"
+        cand.write_text(
+            "-0.2886751346 -0.5\n0.5773502692 0\n-0.2886751346 0.5\n"
+            "\n"
+            "-0.5 0\n0.5 0\n"
+            "\n"
+            "-0.7469007911 0\n0.7469007911 0\n0 0\n"
+        )
+        svg_dir = tmp_path / "figs"
+        args = ["verify", "--candidates", str(cand), "--report", str(tmp_path / "r.txt")]
+        code = main(args + ["--svg-dir", str(svg_dir)])
+        assert code == 1  # the two-body candidate is not certified
+        names = sorted(p.name for p in svg_dir.glob("*.svg"))
+        assert names == ["candidate_0.svg", "candidate_2.svg"]
+        svg = (svg_dir / "candidate_0.svg").read_text()
+        assert svg.startswith("<svg")
+        assert svg.count("<circle") == 3
+        assert 'stroke="red"' in svg
+
     def test_too_few_bodies_not_certified(self, tmp_path):
         """Candidates of 2 and 1 bodies are reported as not certified, and
         the candidates around them are still verified."""

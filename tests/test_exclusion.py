@@ -251,7 +251,7 @@ class TestSoundness:
             for pts in load_listed(n):
                 z, _ = polish_listed(pts)
                 ctx, fr, zlo, zhi = reduced_frame(z - 1e-6, z + 1e-6)
-                assert not check_apriori_batch(bset, fr.q2lo, fr.q2hi, fr.rlo, fr.rhi)[0]
+                assert not check_apriori_batch(bset, fr.q2lo, fr.q2hi, fr.rhi)[0]
                 assert not exclusion.u_eq_i_excluded_batch(ctx, fr)[0], (n, pts)
                 assert not exclusion.check_zero_batch(ctx, fr, zlo, zhi)[0][0], (n, pts)
                 # the proper groups at epsilon 0 and 2e-6

@@ -140,10 +140,9 @@ class TestContainmentFuzz:
 
 
 def _operand_pairs(rng) -> tuple[np.ndarray, np.ndarray]:
-    """About 55k finite operand pairs that reach every branch of the
-    error-free products: random bit patterns, everyday magnitudes, products
-    and factors at the edges of the exact range, exact products and a grid
-    of special values."""
+    """About 55k finite operand pairs: random bit patterns, everyday
+    magnitudes, products and factors near the overflow, normal and
+    subnormal thresholds, exact products and a grid of special values."""
     out_a, out_b = [], []
 
     def signed(x):
@@ -174,8 +173,7 @@ def _operand_pairs(rng) -> tuple[np.ndarray, np.ndarray]:
     ea = rng.integers(993, 998, 2000)
     out_a.append(signed(np.ldexp(rng.uniform(1.0, 2.0, 2000), ea)))
     out_b.append(signed(np.ldexp(rng.uniform(1.0, 2.0, 2000), rng.integers(-1000, 30, 2000))))
-    # long mantissas 1 + j*2**-52, whose product's rounding error sits in the
-    # last partial product
+    # long mantissas 1 + j*2**-52, whose products round by a tiny error
     at_edges(*(1.0 + rng.integers(1, 1000, size=(2, 4000)) * 2.0**-52))
 
     # exact products: integers times powers of two
@@ -196,8 +194,8 @@ def _operand_pairs(rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestExactRounding:
-    """Directed rounding from the error-free transforms equals the rounding
-    from exact rational remainders, bit for bit."""
+    """Directed rounding of *, / and sqrt equals the rounding of the
+    independent rational reference in `oracles`, bit for bit."""
 
     def test_matches_rational_remainders(self):
         a_all, b_all = _operand_pairs(np.random.default_rng(20240613))

@@ -43,9 +43,10 @@ def full_residual_iv(c, masses: Masses):
     ctx = model.nbody_ctx(masses)
     xlo, xhi, ylo, yhi = c
     d = model.pair_disp_arrays(ctx, xlo, xhi, ylo, yhi)
-    if np.any(model.pair_r2_arrays(*d)[0] <= 0.0):
+    r2lo = model.pair_r2_arrays(*d)[0]
+    if np.any(r2lo <= 0.0):
         return None
-    axlo, axhi, aylo, ayhi = model.accel_arrays(ctx, *d)
+    axlo, axhi, aylo, ayhi = model.accel_arrays(ctx, *d, pair_mask=r2lo > 0.0)
     bxlo, bxhi, bylo, byhi = model.all_body_arrays(ctx, xlo, xhi, ylo, yhi)
     fxlo, fxhi = bxo.isub(bxlo, bxhi, axlo, axhi)
     fylo, fyhi = bxo.isub(bylo, byhi, aylo, ayhi)

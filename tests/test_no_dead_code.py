@@ -5,7 +5,8 @@ there, and so is every method that is not a dunder, but as an attribute
 Strings and docstrings do not count, nor does module-level code such as
 `if __name__ == ...`.  The few names allowed without a caller must
 really have none.  Every attribute an `__init__` sets on `self` is read
-as an attribute somewhere else in `src/ccenum`."""
+as an attribute somewhere else in `src/ccenum`, and every parameter of a
+function there is read by its body."""
 
 import ast
 from pathlib import Path
@@ -106,3 +107,29 @@ def test_every_init_attribute_is_read():
         ]
     unread = sorted(q for q in stored if q.rsplit(".", 1)[1] not in reads)
     assert not unread, f"set in __init__ but never read in src/ccenum: {unread}"
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            subs = [sub for stmt in body for sub in ast.walk(stmt)]
+            # `x += ...` reads x, though its target is a store
+            targets = [s.target for s in subs if isinstance(s, ast.AugAssign)]
+            read = {
+                s.id
+                for s in subs
+                if isinstance(s, ast.Name) and (isinstance(s.ctx, ast.Load) or s in targets)
+            }
+            name = getattr(fn, "name", "<lambda>")
+            unread += [
+                f"{path.stem}.{name}({p.arg})"
+                for p in params
+                if p.arg not in ("self", "cls") and p.arg not in read
+            ]
+    assert not unread, f"parameters never read: {unread}"
