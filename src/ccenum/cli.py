@@ -74,14 +74,18 @@ def cmd_search(args) -> int:
     if not (3 <= args.n <= 7) and not args.allow_large:
         print(f"n={args.n} outside 3..7; pass --allow-large to insist", file=sys.stderr)
         return 2
-    cfg = SearchConfig(
-        n=args.n,
-        eps=args.eps,
-        bias=args.bias,
-        overlap=args.overlap,
-        ordering=args.ordering,
-        threads=args.threads,
-    )
+    try:
+        cfg = SearchConfig(
+            n=args.n,
+            eps=args.eps,
+            bias=args.bias,
+            overlap=args.overlap,
+            ordering=args.ordering,
+            threads=args.threads,
+        )
+    except ValueError as exc:
+        print(f"ccenum search: {exc}", file=sys.stderr)
+        return 2
     masses = Masses.equal(args.n)
     domain = initial_domain(cfg)
     t0 = time.perf_counter()
@@ -132,32 +136,38 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    ns = [int(v) for v in str(args.n_list).split(",") if v.strip()]
-    biases = [float(v) for v in str(args.bias_list).split(",") if v.strip()]
-    orderings = [v.strip() for v in str(args.ordering_list).split(",") if v.strip()]
+    try:
+        grid = [
+            SearchConfig(n=int(n), eps=args.eps, bias=float(bias), ordering=ordering.strip())
+            for n in str(args.n_list).split(",")
+            if n.strip()
+            for bias in str(args.bias_list).split(",")
+            if bias.strip()
+            for ordering in str(args.ordering_list).split(",")
+            if ordering.strip()
+        ]
+    except ValueError as exc:
+        print(f"ccenum bench: {exc}", file=sys.stderr)
+        return 2
     rows = []
-    for n in ns:
-        masses = Masses.equal(n)
-        for bias in biases:
-            for ordering in orderings:
-                cfg = SearchConfig(n=n, eps=args.eps, bias=bias, ordering=ordering)
-                t0 = time.perf_counter()
-                _, stats, undec = search(initial_domain(cfg), cfg, masses)
-                dt = time.perf_counter() - t0
-                rows.append(
-                    {
-                        "n": n,
-                        "bias": bias,
-                        "ordering": ordering,
-                        "seconds": dt,
-                        "calls": stats.calls,
-                        "zeros": stats.zeros_found,
-                        "undecided": stats.undecided,
-                        "excluded_total": sum(
-                            v for k, v in stats.usage.items() if not k.startswith("krawczyk")
-                        ),
-                    }
-                )
+    for cfg in grid:
+        t0 = time.perf_counter()
+        _, stats, undec = search(initial_domain(cfg), cfg, Masses.equal(cfg.n))
+        dt = time.perf_counter() - t0
+        rows.append(
+            {
+                "n": cfg.n,
+                "bias": cfg.bias,
+                "ordering": cfg.ordering,
+                "seconds": dt,
+                "calls": stats.calls,
+                "zeros": stats.zeros_found,
+                "undecided": stats.undecided,
+                "excluded_total": sum(
+                    v for k, v in stats.usage.items() if not k.startswith("krawczyk")
+                ),
+            }
+        )
     _emit(args.out, report_mod.render_bench_csv(rows))
     if any(r["undecided"] for r in rows):
         print("NOT A PROOF: undecided cubes remain in the grid", file=sys.stderr)

@@ -167,6 +167,10 @@ _SIDE_MIN = 1e-150
 _SIDE_MAX = 1e150
 _MARGIN = 1e-9
 
+# `bound_pair_kernels` evaluates the edge candidates of at most this many
+# pair rows at a time, so its working set does not grow with the batch
+EDGE_ROWS = 256
+
 
 @lru_cache(maxsize=None)
 def _margin_slopes(kinds) -> tuple:
@@ -208,7 +212,7 @@ def bound_pair_kernels(dxlo, dxhi, dylo, dyhi, kinds):
 
     The squares and r-powers of the boxes and of their four corners are
     computed once for all kernels; only rows that are not plain evaluate
-    their 20 edge candidates.
+    their 20 edge candidates, `EDGE_ROWS` rows at a time.
     """
     x2 = bx.isqr(dxlo, dxhi)
     y2 = bx.isqr(dylo, dyhi)
@@ -244,22 +248,23 @@ def bound_pair_kernels(dxlo, dxhi, dylo, dyhi, kinds):
         chi[i] = vhi.max(axis=(1, 2))
 
     rows = np.flatnonzero(~_plain_rows(dxlo, dxhi, dylo, dyhi, shaped_kinds))
-    if rows.size:
-        xr = (dxlo[rows], dxhi[rows])
-        yr = (dylo[rows], dyhi[rows])
+    for at in range(0, rows.size, EDGE_ROWS):
+        part = rows if rows.size <= EDGE_ROWS else rows[at : at + EDGE_ROWS]
+        xr = (dxlo[part], dxhi[part])
+        yr = (dylo[part], dyhi[part])
         # all kinds in one kind-major batch, numerator axis first as in bound_kernel_batch
         args = [xr + yr if axis == "X" else yr + xr for _, _, axis in shaped_kinds]
         a_k, b_k, _ = zip(*shaped_kinds)
         s_k = [_slope(a, b) for a, b, _ in shaped_kinds]
         elo, ehi = _edge_bounds(
             *(np.concatenate(c) for c in zip(*args)),
-            np.repeat(a_k, rows.size),
-            np.repeat(b_k, rows.size),
-            np.repeat([s.lo for s in s_k], rows.size),
-            np.repeat([s.hi for s in s_k], rows.size),
+            np.repeat(a_k, part.size),
+            np.repeat(b_k, part.size),
+            np.repeat([s.lo for s in s_k], part.size),
+            np.repeat([s.hi for s in s_k], part.size),
         )
-        clo[:, rows] = np.minimum(clo[:, rows], elo.reshape(len(shaped), -1))
-        chi[:, rows] = np.maximum(chi[:, rows], ehi.reshape(len(shaped), -1))
+        clo[:, part] = np.minimum(clo[:, part], elo.reshape(len(shaped), -1))
+        chi[:, part] = np.maximum(chi[:, part], ehi.reshape(len(shaped), -1))
     lo[shaped] = np.maximum(clo, lo[shaped])
     hi[shaped] = np.minimum(chi, hi[shaped])
     return lo, hi

@@ -46,6 +46,9 @@ class SearchConfig:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need at least 3 bodies")
+        for name in ("eps", "bias", "overlap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if not (0 < self.overlap < 0.5):
@@ -103,31 +106,40 @@ def initial_domain(cfg: SearchConfig) -> ReducedBox:
     )
 
 
-def split(lo: np.ndarray, hi: np.ndarray, coord: int, overlap: float):
-    """Split `coord` at its midpoint, each half reaching `width * overlap`
-    past it; returns the two (lo, hi) halves, lower half first."""
-    mid = (lo[coord] + hi[coord]) / 2.0
-    margin = (hi[coord] - lo[coord]) * overlap
-    llo, lhi = lo.copy(), hi.copy()
-    rlo, rhi = lo.copy(), hi.copy()
-    lhi[coord] = mid + margin
-    rlo[coord] = mid - margin
-    return (llo, lhi), (rlo, rhi)
+def split(lo: np.ndarray, hi: np.ndarray, overlap: float):
+    """Children of the boxes (lo, hi) of shape (m, d): each box is cut on its
+    longest edge (the lowest index on ties) at the midpoint, each half
+    reaching `width * overlap` past it.  Returns (2m, d) arrays in push
+    order, the right half then the left half of each box, so the left half
+    of the last box ends on top."""
+    rows = np.arange(len(lo))
+    coord = np.argmax(hi - lo, axis=1)
+    a, b = lo[rows, coord], hi[rows, coord]
+    mid = (a + b) / 2.0
+    margin = (b - a) * overlap
+    clo = np.repeat(lo, 2, axis=0)
+    chi = np.repeat(hi, 2, axis=0)
+    clo[2 * rows, coord] = mid - margin
+    chi[2 * rows + 1, coord] = mid + margin
+    return clo, chi
 
 
 def bisect_with_overlap(
     box: ReducedBox, coord: int, overlap: float
 ) -> tuple[ReducedBox, ReducedBox]:
-    """`split` on a `ReducedBox`.  The search splits (lo, hi) arrays and does
-    not call this box-level form; it stays because the benchmark's cut test
-    (`proofbench/tests`) checks the sub-box cuts against it."""
+    """`split` of one `ReducedBox`, (left, right).  The search splits arrays
+    and does not call this box-level form; it stays because the benchmark's
+    cut test (`proofbench/tests`) checks the sub-box cuts against it.
+    `coord` must be the edge `split` cuts."""
     if overlap == 0.0:
         raise ValueError("zero overlap breaks interior coverage")
     lo, hi = box.arrays()
     if hi[coord] <= lo[coord]:
         raise ValueError("cannot bisect a zero-width coordinate")
-    left, right = split(lo, hi, coord, overlap)
-    return ReducedBox.from_arrays(*left), ReducedBox.from_arrays(*right)
+    if coord != int(np.argmax(hi - lo)):
+        raise ValueError("the search cuts the longest edge only, the lowest index on ties")
+    clo, chi = split(lo[None], hi[None], overlap)
+    return ReducedBox.from_arrays(clo[1], chi[1]), ReducedBox.from_arrays(clo[0], chi[0])
 
 
 def make_solution(Klo, Khi, masses: Masses) -> SolutionBox:
@@ -137,49 +149,81 @@ def make_solution(Klo, Khi, masses: Masses) -> SolutionBox:
     return SolutionBox(reduced=rb, scalars=sc, gauge_valid=gv)
 
 
+# boxes per Krawczyk step
 BATCH = 128
+# boxes per battery call
+CHUNK = 512
 # boxes a worker processes before it hands the rest of its stack back
 TASK_BOXES = 2048
 
 
-def _search_loop(rctx, bset, cfg: SearchConfig, masses: Masses, stack, budget=math.inf):
-    """Iterative depth-first search over a stack of (lo, hi) boxes, top last.
+class _Stack:
+    """Pending boxes as two growing (N, d) float64 arrays, top last."""
 
-    Each turn runs the battery on a chunk of up to `BATCH` boxes from the
-    top of the stack, but only while fewer than `BATCH` boxes are in the
-    Krawczyk stage; survivors within the `bias` gate join that stage and
-    the others branch.  Then one Krawczyk step runs on the `BATCH` oldest
-    boxes in flight, so a box still iterating shares its next step with
-    boxes of the next chunk; boxes leave the stage with a verdict, and
-    failed ones branch.  Once `budget` boxes are processed it takes no more
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        self.lo = np.array(lo, dtype=float)
+        self.hi = np.array(hi, dtype=float)
+        self.top = len(self.lo)
+
+    def __len__(self) -> int:
+        return self.top
+
+    def pop(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The top `k` boxes, bottom first, as copies: the next `push` reuses
+        their rows."""
+        self.top -= k
+        end = self.top + k
+        return self.lo[self.top : end].copy(), self.hi[self.top : end].copy()
+
+    def push(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Push boxes (k, d) in order, the last one ending on top."""
+        end = self.top + len(lo)
+        if end > len(self.lo):
+            pad = np.empty((max(end, 2 * len(self.lo)) - len(self.lo), self.lo.shape[1]))
+            self.lo = np.concatenate([self.lo, pad])
+            self.hi = np.concatenate([self.hi, pad])
+        self.lo[self.top : end] = lo
+        self.hi[self.top : end] = hi
+        self.top = end
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pending boxes (N, d), bottom first, as copies."""
+        return self.lo[: self.top].copy(), self.hi[: self.top].copy()
+
+
+def _search_loop(rctx, bset, cfg: SearchConfig, masses: Masses, stack, budget=math.inf):
+    """Iterative depth-first search over a stack of boxes, given and returned
+    as (lo, hi) arrays of shape (N, d), top last.
+
+    The stack is two growing arrays.  Each turn runs the battery on a chunk
+    of up to `CHUNK` boxes sliced off the top of the stack, but only while
+    fewer than `BATCH` boxes are in the Krawczyk stage; survivors within the
+    `bias` gate join that stage and the others branch.  Then one Krawczyk
+    step runs on the `BATCH` oldest boxes in flight, so a box still
+    iterating shares its next step with boxes of the next chunk, and the
+    operator's temporaries stay those of `BATCH` boxes; boxes leave the
+    stage with a verdict, and failed ones branch.  All boxes that branch in
+    a turn are split in one `split` call and pushed, battery survivors in
+    chunk order then Krawczyk failures in outcome order, the right half then
+    the left half of each.  A chunk takes at most `budget` minus the boxes
+    processed so far; once `budget` boxes are processed it takes no more
     chunks, steps until the stage is empty and returns the unprocessed
-    stack last; feeding it back in continues the same tree.
+    stack last; feeding it back in continues the same tree.  Every box gets
+    the verdict it would get alone, so the tree does not depend on `CHUNK`.
     """
     stats = SearchStats()
     solutions: list[SolutionBox] = []
     undecided_boxes: list[tuple[np.ndarray, np.ndarray]] = []
-    stack = list(stack)
+    stack = _Stack(*stack)
     kr = krawczyk.Iteration(rctx)
     report_every = 500000
     next_report = report_every
 
-    def branch(blo, bhi, children):
-        widths = bhi - blo
-        if np.max(widths) < cfg.eps:
-            stats.undecided += 1
-            undecided_boxes.append((blo, bhi))
-        else:
-            left, right = split(blo, bhi, int(np.argmax(widths)), cfg.overlap)
-            children += (right, left)
-
     while (stack and stats.calls < budget) or kr:
-        children = []
+        branching = []  # (lo, hi) arrays of the boxes that branch this turn
         if stack and stats.calls < budget and len(kr) < BATCH:
-            take = min(BATCH, len(stack))
-            chunk = stack[-take:]
-            del stack[-take:]
-            zlo = np.stack([c[0] for c in chunk])
-            zhi = np.stack([c[1] for c in chunk])
+            take = int(min(CHUNK, len(stack), budget - stats.calls))
+            zlo, zhi = stack.pop(take)
             stats.calls += take
             if log.isEnabledFor(logging.DEBUG) and stats.calls >= next_report:
                 next_report += report_every
@@ -187,16 +231,19 @@ def _search_loop(rctx, bset, cfg: SearchConfig, masses: Masses, stack, budget=ma
             status, out_lo, out_hi = exclusion.run_battery_batch(
                 rctx.m, bset, zlo, zhi, cfg.ordering
             )
-            for st, k in zip(*np.unique(status, return_counts=True)):
-                if st < exclusion.SURVIVED:
-                    stats.bump(exclusion.TEST_NAMES[st], int(k))
+            counts = np.bincount(status, minlength=exclusion.SURVIVED).tolist()
+            for name, k in zip(exclusion.TEST_NAMES, counts):
+                if k:
+                    stats.bump(name, k)
             survived = status == exclusion.SURVIVED
             gate = survived & np.all(out_hi - out_lo <= cfg.bias, axis=-1)
             if np.any(gate):
                 kr.add(out_lo[gate], out_hi[gate])
-            for b in np.flatnonzero(survived & ~gate).tolist():
-                branch(out_lo[b], out_hi[b], children)
+            survived &= ~gate
+            if np.any(survived):
+                branching.append((out_lo[survived], out_hi[survived]))
         if kr:
+            failed = []
             for outcome in kr.step(BATCH)[1]:
                 if outcome.tag == "unique_zero":
                     stats.bump("krawczyk.zeroInside")
@@ -205,14 +252,26 @@ def _search_loop(rctx, bset, cfg: SearchConfig, masses: Masses, stack, budget=ma
                     stats.bump("krawczyk.noZeroInSet")
                 else:
                     stats.bump("krawczyk.methodFailed")
-                    branch(outcome.lo, outcome.hi, children)
-        # keep depth-first flavor: the last box's children end on top
-        stack.extend(children)
-    return solutions, stats, undecided_boxes, stack
+                    failed.append(outcome)
+            if failed:
+                branching.append(
+                    (np.array([o.lo for o in failed]), np.array([o.hi for o in failed]))
+                )
+        if branching:
+            blo, bhi = (np.concatenate(a) for a in zip(*branching))
+            # narrower than eps everywhere and still without a verdict
+            small = np.max(bhi - blo, axis=1) < cfg.eps
+            if small.any():
+                stats.undecided += int(np.count_nonzero(small))
+                undecided_boxes.extend(zip(blo[small], bhi[small]))
+                blo, bhi = blo[~small], bhi[~small]
+            stack.push(*split(blo, bhi, cfg.overlap))
+    return solutions, stats, undecided_boxes, stack.arrays()
 
 
 def _subtree_task(args):
-    """Pool entry point: search a stack of boxes for at most `budget` boxes."""
+    """Pool entry point: search a stack of (lo, hi) boxes for at most `budget`
+    boxes."""
     cfg, masses, stack, budget = args
     rctx = reduced_mod.reduced_ctx(masses)
     bset = bounds_mod.compute_bounds(cfg.n, masses)
@@ -236,7 +295,7 @@ def search(box: ReducedBox, cfg: SearchConfig, masses: Masses):
     """
     if not masses.equal_mass:
         raise RefusedUnequalMasses("the normalized search domain assumes equal masses")
-    root = [box.arrays()]
+    root = tuple(a[None] for a in box.arrays())
     if cfg.threads <= 1:
         rctx = reduced_mod.reduced_ctx(masses)
         bset = bounds_mod.compute_bounds(cfg.n, masses)
@@ -265,7 +324,8 @@ def _search_parallel(root, cfg: SearchConfig, masses: Masses):
                 stats.merge(sub_stats)
                 sols += part
                 undec += part_undec
-                queue += [rest[k::workers] for k in range(min(workers, len(rest)))]
+                rlo, rhi = rest
+                queue += [(rlo[k::workers], rhi[k::workers]) for k in range(min(workers, len(rlo)))]
     finally:
         pool.shutdown(cancel_futures=True)
     return sols, stats, undec

@@ -17,27 +17,29 @@ from ccenum.search import SearchConfig, initial_domain
 
 @lru_cache(maxsize=None)
 def search_boxes(n: int):
-    """The boxes of the first chunks the n-body search gives the battery."""
+    """The first 3000 boxes the n-body search gives the battery in chunks of
+    128 boxes.  The chunk is pinned here: the traversal order, and so which
+    boxes come first, depends on it, while `search.CHUNK` may change."""
     m, cfg = Masses.equal(n), SearchConfig(n=n)
     chunks = []
-    battery = exclusion.run_battery_batch
+    battery, chunk = exclusion.run_battery_batch, search_mod.CHUNK
 
     def record(ctx, bset, zlo, zhi, ordering):
         chunks.append((zlo, zhi))
         return battery(ctx, bset, zlo, zhi, ordering)
 
-    exclusion.run_battery_batch = record
+    exclusion.run_battery_batch, search_mod.CHUNK = record, 128
     try:
         search_mod._search_loop(
             reduced_mod.reduced_ctx(m),
             bounds.compute_bounds(n, m),
             cfg,
             m,
-            [initial_domain(cfg).arrays()],
+            tuple(a[None] for a in initial_domain(cfg).arrays()),
             budget=3000,
         )
     finally:
-        exclusion.run_battery_batch = battery
+        exclusion.run_battery_batch, search_mod.CHUNK = battery, chunk
     return np.concatenate([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks])
 
 

@@ -43,6 +43,21 @@ class TestSearchCommand:
         monkeypatch.setenv("CCENUM_ALLOW_LARGE", value)
         assert main(["search", "--n", "9"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("eps", "0"), ("eps", "nan"), ("bias", "nan"), ("bias", "1e-6"), ("overlap", "0.5"), ("overlap", "inf")],
+    )
+    def test_bad_setting_exits_2(self, flag, value, monkeypatch, capsys):
+        """A setting the search refuses ends the run with a message and
+        code 2, not with the code of "not a proof"."""
+
+        def started(*args):
+            raise AssertionError("a search started")
+
+        monkeypatch.setattr(cli, "search", started)
+        assert main(["search", "--n", "3", f"--{flag}={value}"]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_allow_large_env_on(self, monkeypatch):
         class Started(Exception):
             pass
@@ -181,6 +196,19 @@ class TestBenchCommand:
         assert code == 1
         row = out.read_text().splitlines()[1].split(",")
         assert row[6] == "9"  # the undecided column
+
+    @pytest.mark.parametrize(
+        "args", [["--bias-list", "1e-2,nan"], ["--eps", "0"], ["--ordering-list", "decreasing,up"]]
+    )
+    def test_bad_setting_exits_2(self, args, monkeypatch, capsys):
+        """Every point of the grid is checked before the first search runs."""
+
+        def started(*args):
+            raise AssertionError("a search started")
+
+        monkeypatch.setattr(cli, "search", started)
+        assert main(["bench", "--n-list", "3", *args]) == 2
+        assert "ccenum bench:" in capsys.readouterr().err
 
     def test_empty_grid(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -442,6 +442,9 @@ class TestPairKernelsMatchPerKernel:
         boxes = _random_boxes(rng, 24000)
         plain = kernels._plain_rows(*boxes, tuple(k for k in kinds if k[0]))
         assert 0.2 < plain.mean() < 0.8  # both paths are exercised
+        # the edge candidates take several slices of EDGE_ROWS rows, the last one partial
+        edge_rows = np.count_nonzero(~plain)
+        assert edge_rows > 2 * kernels.EDGE_ROWS and edge_rows % kernels.EDGE_ROWS
         _check_pair(boxes, kinds)
         for i in range(0, 40):  # single rows, where bound_kernel_batch may short-circuit
             _check_pair(tuple(c[i : i + 1] for c in boxes), kinds)

@@ -28,6 +28,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(n=4, overlap=0.0)  # the proof needs interior coverage
 
+    @pytest.mark.parametrize("name", ["eps", "bias", "overlap"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, name, value):
+        # with a NaN eps no box is ever undecided, so nothing would end a
+        # box that no test decides
+        with pytest.raises(ValueError, match=name):
+            SearchConfig(n=4, **{name: value})
+
 
 class TestInitialDomain:
     def test_n3_shape(self):
@@ -51,6 +59,25 @@ class TestInitialDomain:
 
 
 class TestBisect:
+    def test_children_bit_for_bit(self):
+        """Hand-computed children: the longest edge is cut (the lowest index
+        on a tie), and each box gives its right half, then its left half."""
+        lo = np.array([[0.0, 0.0, 0.0], [-1.0, 2.0, 0.0]])
+        hi = np.array([[1.0, 2.0, 2.0], [3.0, 3.0, 0.5]])
+        clo, chi = search_mod.split(lo, hi, 0.25)
+        # box 0: edges 1 and 2 tie at width 2, edge 1 is cut at 1 +- 0.5;
+        # box 1: edge 0 has width 4 and is cut at 1 +- 1
+        assert clo.tolist() == [[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [-1.0, 2.0, 0.0]]
+        assert chi.tolist() == [[1.0, 2.0, 2.0], [1.0, 1.5, 2.0], [3.0, 3.0, 0.5], [2.0, 3.0, 0.5]]
+
+    def test_float_ops(self):
+        """mid = (lo + hi) / 2 and margin = (hi - lo) * overlap, in that order."""
+        lo, hi, overlap = 0.1, 0.7, 1e-3
+        clo, chi = search_mod.split(np.array([[lo, 0.0]]), np.array([[hi, 0.0]]), overlap)
+        mid, margin = (lo + hi) / 2.0, (hi - lo) * overlap
+        assert clo[0, 0] == mid - margin and chi[1, 0] == mid + margin
+        assert chi[0, 0] == hi and clo[1, 0] == lo
+
     def test_overlap_margin(self):
         box = ReducedBox.from_arrays(np.zeros(3), np.ones(3))
         left, right = bisect_with_overlap(box, 0, 0.001)
@@ -61,13 +88,21 @@ class TestBisect:
         box = ReducedBox.from_arrays(np.zeros(3), np.ones(3))
         with pytest.raises(ValueError):
             bisect_with_overlap(box, 0, 0.0)
-        (_, lhi), (rlo, _) = search_mod.split(*box.arrays(), 0, 0.0)
-        assert lhi[0] == rlo[0] == 0.5
+        clo, chi = search_mod.split(*(a[None] for a in box.arrays()), 0.0)
+        assert chi[1, 0] == clo[0, 0] == 0.5
 
     def test_zero_width_rejected(self):
         box = ReducedBox.from_arrays(np.zeros(3), np.array([0.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             bisect_with_overlap(box, 0, 0.001)
+
+    def test_only_the_longest_edge(self):
+        box = ReducedBox.from_arrays(np.zeros(3), np.array([1.0, 2.0, 2.0]))
+        for coord in (0, 2):
+            with pytest.raises(ValueError):
+                bisect_with_overlap(box, coord, 0.001)
+        left, _ = bisect_with_overlap(box, 1, 0.001)
+        assert left.arrays()[1].tolist() == [1.0, 1.002, 2.0]
 
 
 class TestSearchRuns:
@@ -113,9 +148,9 @@ class TestSearchRuns:
         cfg = SearchConfig(n=3)
         m = Masses.equal(3)
         rctx, bset = reduced.reduced_ctx(m), bounds.compute_bounds(3, m)
-        stack = [initial_domain(cfg).arrays()]
+        stack = tuple(a[None] for a in initial_domain(cfg).arrays())
         total, sols, rounds, drained = SearchStats(), [], 0, 0
-        while stack:
+        while len(stack[0]):
             events.clear()
             part, stats, _, stack = search_mod._search_loop(rctx, bset, cfg, m, stack, budget=16)
             total.merge(stats)
@@ -124,10 +159,21 @@ class TestSearchRuns:
             # a step after the one in the turn of the last chunk works on boxes
             # that were in flight when the budget stopped taking chunks
             last = len(events) - 1 - events[::-1].index("battery")
-            drained += bool(stack) and len(events) - last - 1 >= 2
+            drained += bool(len(stack[0])) and len(events) - last - 1 >= 2
         assert rounds > 1 and drained > 0
         assert total == run_n3.stats
         assert _keyset(sols) == _keyset(run_n3.solutions)
+
+    @pytest.mark.parametrize("chunk", [1, 7, search_mod.CHUNK])
+    def test_tree_does_not_depend_on_the_chunk(self, run_n3, monkeypatch, chunk):
+        """Every box gets the verdict it would get alone, so the battery
+        chunk changes the traversal order only: the counters and the
+        certified boxes are the same."""
+        monkeypatch.setattr(search_mod, "CHUNK", chunk)
+        cfg = SearchConfig(n=3)
+        sols, stats, undec = search(initial_domain(cfg), cfg, Masses.equal(3))
+        assert not undec and stats == run_n3.stats
+        assert _boxes(sols) == _boxes(run_n3.solutions)
 
     def test_parallel_same_solution_set(self, run_n3, monkeypatch):
         """Small task budgets force repeated splits; the tree, the counters
@@ -182,6 +228,10 @@ class TestSearchRuns:
         m = Masses([Interval(0.5), Interval(0.3), Interval(0.2)])
         with pytest.raises(RefusedUnequalMasses):
             search(initial_domain(cfg), cfg, m)
+
+
+def _boxes(solutions):
+    return sorted(tuple(np.concatenate(s.reduced.arrays()).tolist()) for s in solutions)
 
 
 def _keyset(solutions):
