@@ -7,12 +7,13 @@ certified to hold exactly one zero (inflating the hull a few times when
 it is too tight for the operator).  A symmetry is proved the same way
 against the configuration's own reflected image; asymmetry is proved by
 showing every candidate axis admits no body pairing whose reflected boxes
-all meet the certified solution box.
+all meet the certified solution box, which is a bipartite matching question.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .model import Masses
 from .reduced import ReducedBox
 from .search import SolutionBox
 
-MAX_PAIRINGS = 40320  # 8!; beyond this the enumeration reports incompleteness
 # hulls tried per question before giving up: same configuration, symmetry
 SAME_TRIES = 24
 SYMMETRY_TRIES = 12
@@ -221,59 +221,58 @@ def regauge_to_reduced(bodies, masses: Masses):
     return reduced_mod.free_to_box(rx[0], ry[0]), reduced_mod.free_to_box(rx[1], ry[1])
 
 
-def candidate_pairings(image, orig, cap: int, fixed: dict[int, int] | None = None):
-    """Permutations sigma with image body i matching orig body sigma(i).
-
-    Pruned by radius compatibility (a reflection or relabeling preserves
-    |q|), nearest-match first, at most `cap` of them.  `fixed` pins
-    selected assignments.
-    """
+def _same_radius(image, orig):
+    """Boolean (n, n) matrix: image body i and orig body j may lie at the
+    same distance from the origin, as a reflection or relabeling requires."""
     n = len(image[0])
     rlo, rhi = _radius(tuple(np.concatenate(pair) for pair in zip(image, orig)))
-    meet = _may_meet((rlo[:n], rhi[:n]), (rlo[n:], rhi[n:]))
-    for i, j in (fixed or {}).items():
-        meet[i] &= np.arange(n) == j
+    return _may_meet((rlo[:n], rhi[:n]), (rlo[n:], rhi[n:]))
+
+
+def candidate_pairings(image, orig):
+    """Permutations sigma with image body i matching orig body sigma(i),
+    pruned by radius compatibility, nearest-match first."""
+    n = len(image[0])
+    meet = _same_radius(image, orig)
     allowed = [np.flatnonzero(row).tolist() for row in meet]
     # nearest-match candidate, ties to the lowest j
     (mx, my), (ox, oy) = _mid(image).T, _mid(orig).T
     dist = np.where(meet, (mx[:, None] - ox) ** 2 + (my[:, None] - oy) ** 2, np.inf)
     nearest = tuple(int(j) if meet[i, j] else None for i, j in enumerate(np.argmin(dist, axis=1)))
-    emitted = 0
     if None not in nearest and len(set(nearest)) == n:
         yield nearest
-        emitted += 1
 
-    def dfs(i, used, acc):
-        nonlocal emitted
-        if emitted >= cap:
-            return
+    def dfs(i, acc):
         if i == n:
-            sig = tuple(acc)
-            if sig != nearest:
-                yield sig
+            if acc != nearest:
+                yield acc
             return
         for j in allowed[i]:
-            if j not in used:
-                acc.append(j)
-                used.add(j)
-                yield from dfs(i + 1, used, acc)
-                used.remove(j)
-                acc.pop()
+            if j not in acc:
+                yield from dfs(i + 1, acc + (j,))
 
-    for sig in dfs(0, set(), []):
-        yield sig
-        emitted += 1
-        if emitted >= cap:
-            return
+    yield from dfs(0, ())
 
 
-def all_pairings(image, orig, fixed=None):
-    """Complete list of radius-compatible pairings, or (None, False) when
-    there are more than MAX_PAIRINGS."""
-    out = list(candidate_pairings(image, orig, MAX_PAIRINGS + 1, fixed=fixed))
-    if len(out) > MAX_PAIRINGS:
-        return None, False
-    return out, True
+def has_perfect_matching(edges: np.ndarray) -> bool:
+    """True iff the boolean (n, n) matrix admits a permutation sigma with
+    every edges[i, sigma(i)] set.  Kuhn's augmenting paths: row i is matched
+    by re-matching the rows along an alternating path, and a row no path
+    reaches leaves the matching imperfect for good."""
+    n = len(edges)
+    adj = [np.flatnonzero(row).tolist() for row in edges]
+    row_of = [-1] * n  # the row matched to each column, -1 when free
+
+    def augment(i, seen):
+        for j in adj[i]:
+            if not seen[j]:
+                seen[j] = True
+                if row_of[j] < 0 or augment(row_of[j], seen):
+                    row_of[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * n) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +312,12 @@ def _hull_certifies(rctx, za, zb) -> bool:
 def _certified_pairing(rctx, za, image, orig, masses: Masses, max_tries: int):
     """The first candidate pairing sigma (image body i is orig body sigma(i))
     under which the permuted, re-gauged image certifies as the zero in za;
-    None once max_tries hulls have failed."""
-    tried = 0
-    for sigma in candidate_pairings(image, orig, max_tries):
+    None when none of the first max_tries candidates does."""
+    for sigma in islice(candidate_pairings(image, orig), max_tries):
         inv = np.argsort(sigma)
         zb = regauge_to_reduced((image[0][inv], image[1][inv]), masses)
-        if zb is None:
-            continue
-        if _hull_certifies(rctx, za, zb):
+        if zb is not None and _hull_certifies(rctx, za, zb):
             return sigma
-        tried += 1
-        if tried >= max_tries:
-            break
     return None
 
 
@@ -341,14 +334,13 @@ def same_solution(a: SolutionBox, b: SolutionBox, masses: Masses) -> bool:
     return _certified_pairing(rctx, a.reduced.arrays(), image, orig, masses, SAME_TRIES) is not None
 
 
-def _axis_refuted(bodies, reflected, fixed) -> bool | None:
-    """True if every compatible pairing leaves some body pair disjoint;
-    None when the pairing enumeration is incomplete."""
-    pairings, complete = all_pairings(reflected, bodies, fixed=fixed)
-    if not complete:
-        return None
-    meet = _may_meet(reflected, bodies)
-    return not any(meet[range(len(sigma)), sigma].all() for sigma in pairings)
+def _axis_refuted(bodies, reflected, pinned: int | None = None) -> bool:
+    """True iff no pairing maps each reflected body onto a body of the same
+    radius whose box it may meet, the body `pinned` onto itself."""
+    edges = _same_radius(reflected, bodies) & _may_meet(reflected, bodies)
+    if pinned is not None:
+        edges[pinned] = np.arange(len(edges)) == pinned
+    return not has_perfect_matching(edges)
 
 
 def symmetry_check(s: SolutionBox, masses: Masses) -> SymmetryResult:
@@ -384,16 +376,14 @@ def symmetry_check(s: SolutionBox, masses: Masses) -> SymmetryResult:
         return SymmetryResult(ox_perm, line, asymmetric=False)
 
     # attempt certified asymmetry: every admissible axis must be refuted
-    refuted = _axis_refuted(bodies, reflect_ox(bodies), fixed={n - 2: n - 2})
-    if refuted is not True:
+    if not _axis_refuted(bodies, reflect_ox(bodies), pinned=n - 2):
         return SymmetryResult(None, None, asymmetric=False)
-    radii = _radius(bodies)
-    same_radius = _may_meet(radii, radii)[n - 2]
+    same_radius = _same_radius(bodies, bodies)[n - 2]
     for i in range(n):
         if i == n - 2 or not same_radius[i]:
             continue  # no body could be the image of body n-2 along this ray
         axis = bisector_direction((lo[n - 2], hi[n - 2]), (lo[i], hi[i]))
-        if axis is None or _axis_refuted(bodies, reflect_line(bodies, axis), None) is not True:
+        if axis is None or not _axis_refuted(bodies, reflect_line(bodies, axis)):
             return SymmetryResult(None, None, asymmetric=False)
     return SymmetryResult(None, None, asymmetric=True)
 

@@ -3,15 +3,15 @@
 Three subcommands: `search` enumerates and certifies every central
 configuration for n equal masses, `verify` certifies candidate point
 configurations from a file, `bench` times searches over a parameter grid.
-Every flag can also be set through an environment variable with the
-CCENUM_ prefix (e.g. CCENUM_BIAS for --bias).  The exit code is 0 only
-for complete proofs / fully verified runs.
+Flags are the only settings.  A refused setting, an unreadable candidates
+file or an output file in a missing directory exits with code 2 before
+any work; otherwise the exit code is 0 only for complete proofs / fully
+verified runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -20,11 +20,7 @@ from . import report as report_mod
 from .classify import classify_solutions
 from .model import Masses
 from .search import ORDERINGS, SearchConfig, initial_domain, search
-from .verify import parse_candidates, verify_candidate
-
-
-def _env(name: str, default):
-    return os.environ.get(f"CCENUM_{name.upper()}", default)
+from .verify import DELTA, parse_candidates, verify_candidate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,35 +28,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("search", help="enumerate all central configurations for n equal masses")
-    ps.add_argument("--n", type=int, default=int(_env("n", 3)))
-    ps.add_argument("--eps", type=float, default=float(_env("eps", 1e-5)))
-    ps.add_argument("--bias", type=float, default=float(_env("bias", 1e-2)))
-    ps.add_argument("--overlap", type=float, default=float(_env("overlap", 1e-3)))
-    ps.add_argument("--ordering", choices=ORDERINGS, default=_env("ordering", "decreasing"))
-    ps.add_argument("--threads", type=int, default=int(_env("threads", 1)))
-    ps.add_argument("--report", type=Path, default=_env("report", None))
-    ps.add_argument("--solutions", type=Path, default=_env("solutions", None))
-    ps.add_argument("--svg-dir", type=Path, default=_env("svg_dir", None))
+    ps.add_argument("--n", type=int, default=3)
+    ps.add_argument("--eps", type=float, default=SearchConfig.eps)
+    ps.add_argument("--bias", type=float, default=SearchConfig.bias)
+    ps.add_argument("--ordering", choices=ORDERINGS, default=SearchConfig.ordering)
+    ps.add_argument("--threads", type=int, default=SearchConfig.threads)
+    ps.add_argument("--report", type=Path)
+    ps.add_argument("--solutions", type=Path)
+    ps.add_argument("--svg-dir", type=Path)
     ps.add_argument(
         "--allow-large",
         action="store_true",
-        default=_env("allow_large", "").strip().lower() not in ("", "0", "false", "no"),
         help="permit n outside 3..7 (expect astronomical runtimes)",
     )
 
     pv = sub.add_parser("verify", help="certify candidate configurations from a file")
     pv.add_argument("--candidates", type=Path, required=True, help='file of "x y" lines, blank-line separated')
-    pv.add_argument("--delta", type=float, default=float(_env("delta", 1e-6)))
-    pv.add_argument("--report", type=Path, default=_env("report", None))
-    pv.add_argument("--svg-dir", type=Path, default=_env("svg_dir", None))
+    pv.add_argument("--delta", type=float, default=DELTA)
+    pv.add_argument("--report", type=Path)
+    pv.add_argument("--svg-dir", type=Path)
 
     pb = sub.add_parser("bench", help="time searches over an (n, bias, ordering) grid")
-    pb.add_argument("--n-list", default=_env("n_list", "4"))
-    pb.add_argument("--bias-list", default=_env("bias_list", "1e-2"))
-    pb.add_argument("--ordering-list", default=_env("ordering_list", "decreasing"))
-    pb.add_argument("--eps", type=float, default=float(_env("eps", 1e-5)))
-    pb.add_argument("--out", type=Path, default=_env("out", None))
+    pb.add_argument("--n-list", default="4")
+    pb.add_argument("--bias-list", default=str(SearchConfig.bias))
+    pb.add_argument("--ordering-list", default=SearchConfig.ordering)
+    pb.add_argument("--eps", type=float, default=SearchConfig.eps)
+    pb.add_argument("--out", type=Path)
     return p
+
+
+def _check_outputs(*paths: Path | None) -> None:
+    """Refuse, before any work, an output file whose directory is missing."""
+    for path in paths:
+        if path is not None and not path.parent.is_dir():
+            raise ValueError(f"no directory {path.parent} to write {path.name} in")
 
 
 def _emit(path: Path | None, text: str) -> None:
@@ -79,10 +80,10 @@ def cmd_search(args) -> int:
             n=args.n,
             eps=args.eps,
             bias=args.bias,
-            overlap=args.overlap,
             ordering=args.ordering,
             threads=args.threads,
         )
+        _check_outputs(args.report, args.solutions)
     except ValueError as exc:
         print(f"ccenum search: {exc}", file=sys.stderr)
         return 2
@@ -110,8 +111,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    text = Path(args.candidates).read_text()
     try:
+        _check_outputs(args.report)
+        try:
+            text = args.candidates.read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read the candidates: {exc}") from exc
         candidates = parse_candidates(text)
         if not candidates:
             raise ValueError(f"no candidate in {args.candidates}")
@@ -146,6 +151,7 @@ def cmd_bench(args) -> int:
             for ordering in str(args.ordering_list).split(",")
             if ordering.strip()
         ]
+        _check_outputs(args.out)
     except ValueError as exc:
         print(f"ccenum bench: {exc}", file=sys.stderr)
         return 2

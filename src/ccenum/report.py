@@ -10,6 +10,7 @@ bounds so a round trip is bit exact.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Iterable
 
 from . import reduced as reduced_mod
@@ -72,29 +73,11 @@ def render_search_report(
         out.append("*** NOT A PROOF: undecided cubes remain ***")
         out.append("")
     out.append("Different CC:")
-    collinear_no = 0
-    ox_no = 0
-    line_no = 0
+    tally = Counter()
     for pos, rec in enumerate(records):
         out.append("---------------------")
         out.append(f"position {pos}")
-        out.extend(_render_record_block(rec.representative, masses))
-        if not rec.representative.gauge_valid:
-            out.append("NOT PROVEN: the pinned and derived bodies may share x")
-        sym = rec.symmetry
-        if sym.collinear:
-            collinear_no += 1
-            out.append(f"collinear solution no {collinear_no}")
-        if sym.ox_permutation is not None:
-            ox_no += 1
-            out.append("permutation: " + "".join(f"{p}, " for p in sym.ox_permutation).rstrip())
-            out.append(f"symmetric with respect to OX no {ox_no}")
-        else:
-            out.append("there is no symmetry with respect to OX")
-        if sym.line is not None:
-            line_no += 1
-            out.append("permutation: " + "".join(f"{p}, " for p in sym.line.permutation).rstrip())
-            out.append(f"reflectional symmetry with respect to other line {line_no}")
+        out.extend(_solution_lines(rec.representative, rec.symmetry, masses, tally))
         out.append("")
     out.append(f"Number of different cc = {len(records)}")
     out.append("")
@@ -109,16 +92,44 @@ def _body_lines(box: ReducedBox, masses: Masses) -> list[str]:
     ]
 
 
-def _render_record_block(s: SolutionBox, masses: Masses) -> list[str]:
+def _solution_lines(
+    s: SolutionBox, sym: SymmetryResult, masses: Masses, tally: Counter | None = None
+) -> list[str]:
+    """The bodies, the scalars, the gauge warning and the collinear, OX and
+    line verdicts of one configuration.  A search report numbers each
+    verdict across its records in `tally`; a verify report numbers none."""
+
+    def numbered(text: str, key: str, sep: str = " no ") -> str:
+        if tally is None:
+            return text
+        tally[key] += 1
+        return f"{text}{sep}{tally[key]}"
+
+    def permutation(perm) -> str:
+        return "permutation: " + "".join(f"{p}, " for p in perm).rstrip()
+
     sc = s.scalars
     U, I, J, P = (fmt_iv(v.lo, v.hi) for v in (sc.U, sc.I, sc.J, sc.P_moeckel))
-    return _body_lines(s.reduced, masses) + [
+    out = _body_lines(s.reduced, masses) + [
         "",
         f"U = {U}, I = {I},",
         f"U*(I)^(1/2)/(M)^(5/2) = {J}",
         f"Moeckel's potential = {P}",
         "",
     ]
+    if not s.gauge_valid:
+        out.append("NOT PROVEN: the pinned and derived bodies may share x")
+    if sym.collinear:
+        out.append(numbered("collinear solution", "collinear"))
+    if sym.ox_permutation is not None:
+        out.append(permutation(sym.ox_permutation))
+        out.append(numbered("symmetric with respect to OX", "ox"))
+    else:
+        out.append("there is no symmetry with respect to OX")
+    if sym.line is not None:
+        out.append(permutation(sym.line.permutation))
+        out.append(numbered("reflectional symmetry with respect to other line", "line", " "))
+    return out
 
 
 def render_verify_report(results, delta: float) -> str:
@@ -136,20 +147,8 @@ def render_verify_report(results, delta: float) -> str:
             continue
         certified += 1
         out.append(f"unique zero certified (delta = {res.delta_used:g})")
-        out.extend(_render_record_block(res.solution, res.masses))
-        if not res.solution.gauge_valid:
-            out.append("NOT PROVEN: the pinned and derived bodies may share x")
         sym = res.symmetry
-        if sym.collinear:
-            out.append("collinear solution")
-        if sym.ox_permutation is not None:
-            out.append("permutation: " + "".join(f"{p}, " for p in sym.ox_permutation).rstrip())
-            out.append("symmetric with respect to OX")
-        else:
-            out.append("there is no symmetry with respect to OX")
-        if sym.line is not None:
-            out.append("permutation: " + "".join(f"{p}, " for p in sym.line.permutation).rstrip())
-            out.append("reflectional symmetry with respect to other line")
+        out.extend(_solution_lines(res.solution, sym, res.masses))
         if sym.verdict == "ProvedAsymmetric":
             out.append("no reflectional symmetry exists (certified)")
         elif not sym.symmetric:

@@ -32,6 +32,9 @@ from .reduced import ReducedBox
 log = logging.getLogger("ccenum.search")
 
 ORDERINGS = ("increasing", "decreasing")
+# each half of a bisected box reaches this share of the cut edge's width
+# past the midpoint, so every point of the parent is interior to a child
+OVERLAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -39,24 +42,23 @@ class SearchConfig:
     n: int
     eps: float = 1e-5
     bias: float = 1e-2
-    overlap: float = 1e-3
     ordering: str = "decreasing"
     threads: int = 1
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need at least 3 bodies")
-        for name in ("eps", "bias", "overlap"):
+        for name in ("eps", "bias"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if not (0 < self.overlap < 0.5):
-            raise ValueError("overlap must lie in (0, 0.5): 0 breaks interior coverage")
         if self.bias <= self.eps:
             raise ValueError("bias must exceed eps")
         if self.ordering not in ORDERINGS:
             raise ValueError(f"ordering must be one of {ORDERINGS}")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
 
 
 @dataclass
@@ -265,7 +267,7 @@ def _search_loop(rctx, bset, cfg: SearchConfig, masses: Masses, stack, budget=ma
                 stats.undecided += int(np.count_nonzero(small))
                 undecided_boxes.extend(zip(blo[small], bhi[small]))
                 blo, bhi = blo[~small], bhi[~small]
-            stack.push(*split(blo, bhi, cfg.overlap))
+            stack.push(*split(blo, bhi, OVERLAP))
     return solutions, stats, undecided_boxes, stack.arrays()
 
 
@@ -296,7 +298,7 @@ def search(box: ReducedBox, cfg: SearchConfig, masses: Masses):
     if not masses.equal_mass:
         raise RefusedUnequalMasses("the normalized search domain assumes equal masses")
     root = tuple(a[None] for a in box.arrays())
-    if cfg.threads <= 1:
+    if cfg.threads == 1:
         rctx = reduced_mod.reduced_ctx(masses)
         bset = bounds_mod.compute_bounds(cfg.n, masses)
         sols, stats, undec, _ = _search_loop(rctx, bset, cfg, masses, root)

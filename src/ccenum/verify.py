@@ -20,7 +20,9 @@ from .classify import SymmetryResult
 from .model import Masses
 from .search import SolutionBox, make_solution
 
-# the largest seed half-width tried before a candidate counts as uncertified
+# the seed half-width tried first, and the largest tried before a candidate
+# counts as uncertified
+DELTA = 1e-6
 DELTA_MAX = 1e-3
 
 
@@ -85,7 +87,7 @@ def verify_candidate(
     index: int,
     points: list[tuple[float, float]],
     masses: Masses,
-    delta: float = 1e-6,
+    delta: float = DELTA,
 ) -> VerifyResult:
     """Certify one candidate from seed boxes of half-width delta, doubled on
     failure up to DELTA_MAX; raises ValueError unless 0 < delta <= DELTA_MAX."""

@@ -1,5 +1,7 @@
-"""Testing stage: solution equivalence, hull inflation, symmetry proofs
-and collinearity detection."""
+"""Testing stage: solution equivalence, hull inflation, symmetry proofs,
+collinearity detection and the matching behind asymmetry proofs."""
+
+import itertools
 
 import mpmath
 import numpy as np
@@ -208,6 +210,46 @@ class TestCollinear:
         for perm in ((1, 0, 2), (0, 2, 1, 3), None):
             assert not SymmetryResult(perm, None, asymmetric=False).collinear
         assert SymmetryResult((0, 1, 2, 3), None, asymmetric=False).collinear
+
+
+class TestPerfectMatching:
+    """`has_perfect_matching`, which refutes symmetry axes, against brute
+    force over every permutation."""
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(7)
+        hall_violations = first_fit_misses = 0
+        for _ in range(800):
+            n = int(rng.integers(1, 8))
+            edges = rng.random((n, n)) < rng.uniform(0.2, 0.8)
+            if n > 1 and rng.random() < 0.5:
+                # k rows that see only k - 1 columns violate Hall's condition
+                k = int(rng.integers(2, n + 1))
+                edges[rng.choice(n, k, replace=False)] &= np.isin(
+                    np.arange(n), rng.choice(n, k - 1, replace=False)
+                )
+            perms = np.array(list(itertools.permutations(range(n))))
+            brute = bool(edges[np.arange(n), perms].all(axis=1).any())
+            assert classify.has_perfect_matching(edges) == brute, edges.astype(int)
+            # no empty row or column, yet some rows see too few columns
+            hall_violations += not brute and edges.any(axis=0).all() and edges.any(axis=1).all()
+            # taking each row's first free column fails: only an augmenting
+            # path finds the matching
+            free = set(range(n))
+            for row in edges:
+                j = next((j for j in np.flatnonzero(row) if j in free), None)
+                free.discard(j)
+            first_fit_misses += brute and len(free) > 0
+        assert hall_violations >= 20 and first_fit_misses >= 20
+
+    def test_pinned_body(self):
+        """The OX reflection of a triangle symmetric about the x axis swaps
+        bodies 1 and 2: refuted only once body 1 is pinned to itself."""
+        pts = np.array([[1.0, 0.0], [-0.5, 0.75], [-0.5, -0.75]])
+        bodies = (pts, pts.copy())
+        reflected = classify.reflect_ox(bodies)
+        assert not classify._axis_refuted(bodies, reflected, pinned=0)
+        assert classify._axis_refuted(bodies, reflected, pinned=1)
 
 
 # ---------------------------------------------------------------------------

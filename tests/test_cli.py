@@ -1,9 +1,21 @@
 """Command line driver: the three subcommands end to end on small inputs."""
 
+from dataclasses import asdict, fields
+from inspect import signature
+from pathlib import Path
+
 import pytest
 
 from ccenum import cli
 from ccenum.cli import main
+from ccenum.search import SearchConfig
+from ccenum.verify import verify_candidate
+
+N3_CANDIDATES = Path(__file__).parent / "data" / "cc_n3.txt"
+
+
+def _started(*args):
+    raise AssertionError("a search started")
 
 
 class TestSearchCommand:
@@ -34,31 +46,27 @@ class TestSearchCommand:
     def test_large_n_guard(self, capsys):
         assert main(["search", "--n", "9"]) == 2
 
-    @pytest.mark.parametrize("value", ["0", "false", "No", ""])
-    def test_allow_large_env_off(self, value, monkeypatch):
-        def started(*args):
-            raise AssertionError("a search started")
-
-        monkeypatch.setattr(cli, "search", started)
-        monkeypatch.setenv("CCENUM_ALLOW_LARGE", value)
-        assert main(["search", "--n", "9"]) == 2
-
     @pytest.mark.parametrize(
         "flag, value",
-        [("eps", "0"), ("eps", "nan"), ("bias", "nan"), ("bias", "1e-6"), ("overlap", "0.5"), ("overlap", "inf")],
+        [("eps", "0"), ("eps", "nan"), ("bias", "nan"), ("bias", "1e-6"), ("threads", "0"), ("threads", "-5")],
     )
     def test_bad_setting_exits_2(self, flag, value, monkeypatch, capsys):
         """A setting the search refuses ends the run with a message and
         code 2, not with the code of "not a proof"."""
-
-        def started(*args):
-            raise AssertionError("a search started")
-
-        monkeypatch.setattr(cli, "search", started)
+        monkeypatch.setattr(cli, "search", _started)
         assert main(["search", "--n", "3", f"--{flag}={value}"]) == 2
         assert flag in capsys.readouterr().err
 
-    def test_allow_large_env_on(self, monkeypatch):
+    @pytest.mark.parametrize("flag", ["report", "solutions"])
+    def test_missing_output_directory_exits_2(self, flag, tmp_path, monkeypatch, capsys):
+        """An output file that could not be written is refused before the
+        search, not after it."""
+        monkeypatch.setattr(cli, "search", _started)
+        missing = tmp_path / "missing" / "out.txt"
+        assert main(["search", "--n", "3", f"--{flag}", str(missing)]) == 2
+        assert str(missing.parent) in capsys.readouterr().err
+
+    def test_allow_large_flag(self, monkeypatch):
         class Started(Exception):
             pass
 
@@ -66,9 +74,12 @@ class TestSearchCommand:
             raise Started
 
         monkeypatch.setattr(cli, "search", started)
-        monkeypatch.setenv("CCENUM_ALLOW_LARGE", "1")
         with pytest.raises(Started):
-            main(["search", "--n", "9"])
+            main(["search", "--n", "9", "--allow-large"])
+
+    def test_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["search"])
+        assert {f.name: getattr(args, f.name) for f in fields(SearchConfig)} == asdict(SearchConfig(n=3))
 
 
 class TestVerifyCommand:
@@ -169,6 +180,34 @@ class TestVerifyCommand:
         assert main(["verify", "--candidates", str(cand), f"--delta={delta}"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["missing.txt", "."])
+    def test_unreadable_candidates_exit_2(self, where, tmp_path, capsys):
+        assert main(["verify", "--candidates", str(tmp_path / where)]) == 2
+        assert "ccenum verify:" in capsys.readouterr().err
+
+    def test_missing_report_directory_exits_2(self, tmp_path, monkeypatch, capsys):
+        from ccenum import krawczyk
+
+        def stepped(*args):
+            raise AssertionError("an operator step ran")
+
+        monkeypatch.setattr(krawczyk, "iterate_arrays", stepped)
+        missing = tmp_path / "missing" / "r.txt"
+        assert main(["verify", "--candidates", str(N3_CANDIDATES), "--report", str(missing)]) == 2
+        assert str(missing.parent) in capsys.readouterr().err
+
+    def test_environment_is_not_read(self, tmp_path, monkeypatch):
+        """Flags are the only settings: a variable of a former settings
+        mirror that is not even a number changes nothing."""
+        monkeypatch.setenv("CCENUM_THREADS", "abc")
+        monkeypatch.setenv("CCENUM_DELTA", "abc")
+        report = tmp_path / "r.txt"
+        assert main(["verify", "--candidates", str(N3_CANDIDATES), "--report", str(report)]) == 0
+
+    def test_delta_default_is_verify_candidate_default(self):
+        args = cli.build_parser().parse_args(["verify", "--candidates", "c.txt"])
+        assert args.delta == signature(verify_candidate).parameters["delta"].default
+
     def test_verify_failure_exit_code(self, tmp_path):
         cand = tmp_path / "bad.txt"
         cand.write_text("0 0\n0.5 0\n1.0 0\n")
@@ -202,13 +241,22 @@ class TestBenchCommand:
     )
     def test_bad_setting_exits_2(self, args, monkeypatch, capsys):
         """Every point of the grid is checked before the first search runs."""
-
-        def started(*args):
-            raise AssertionError("a search started")
-
-        monkeypatch.setattr(cli, "search", started)
+        monkeypatch.setattr(cli, "search", _started)
         assert main(["bench", "--n-list", "3", *args]) == 2
         assert "ccenum bench:" in capsys.readouterr().err
+
+    def test_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["bench"])
+        cfg = SearchConfig(n=4)
+        assert args.eps == cfg.eps
+        assert [float(b) for b in args.bias_list.split(",")] == [cfg.bias]
+        assert args.ordering_list.split(",") == [cfg.ordering]
+
+    def test_missing_out_directory_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "search", _started)
+        missing = tmp_path / "missing" / "bench.csv"
+        assert main(["bench", "--n-list", "3", "--out", str(missing)]) == 2
+        assert str(missing.parent) in capsys.readouterr().err
 
     def test_empty_grid(self, tmp_path):
         out = tmp_path / "bench.csv"

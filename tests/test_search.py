@@ -22,13 +22,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(n=4, eps=0.0)
         with pytest.raises(ValueError):
-            SearchConfig(n=4, overlap=0.5)
-        with pytest.raises(ValueError):
             SearchConfig(n=4, bias=1e-6)  # bias must exceed eps
-        with pytest.raises(ValueError):
-            SearchConfig(n=4, overlap=0.0)  # the proof needs interior coverage
+        for threads in (0, -5):
+            with pytest.raises(ValueError, match="threads"):
+                SearchConfig(n=4, threads=threads)
 
-    @pytest.mark.parametrize("name", ["eps", "bias", "overlap"])
+    @pytest.mark.parametrize("name", ["eps", "bias"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, name, value):
         # with a NaN eps no box is ever undecided, so nothing would end a
