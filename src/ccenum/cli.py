@@ -3,10 +3,11 @@
 Three subcommands: `search` enumerates and certifies every central
 configuration for n equal masses, `verify` certifies candidate point
 configurations from a file, `bench` times searches over a parameter grid.
-Flags are the only settings.  A refused setting, an unreadable candidates
-file or an output file in a missing directory exits with code 2 before
-any work; otherwise the exit code is 0 only for complete proofs / fully
-verified runs.
+Flags are the only settings.  A refused setting (n outside 3..7 without
+`--allow-large` among them), an unreadable candidates file, an output
+file in a missing directory or an `--svg-dir` that cannot be created
+exits with code 2 before any work; otherwise the exit code is 0 only for
+complete proofs / fully verified runs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .search import ORDERINGS, SearchConfig, initial_domain, search
 from .verify import DELTA, parse_candidates, verify_candidate
 
 
+ALLOW_LARGE_HELP = "permit n outside 3..7 (expect astronomical runtimes)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ccenum", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -36,11 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--report", type=Path)
     ps.add_argument("--solutions", type=Path)
     ps.add_argument("--svg-dir", type=Path)
-    ps.add_argument(
-        "--allow-large",
-        action="store_true",
-        help="permit n outside 3..7 (expect astronomical runtimes)",
-    )
+    ps.add_argument("--allow-large", action="store_true", help=ALLOW_LARGE_HELP)
 
     pv = sub.add_parser("verify", help="certify candidate configurations from a file")
     pv.add_argument("--candidates", type=Path, required=True, help='file of "x y" lines, blank-line separated')
@@ -54,6 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--ordering-list", default=SearchConfig.ordering)
     pb.add_argument("--eps", type=float, default=SearchConfig.eps)
     pb.add_argument("--out", type=Path)
+    pb.add_argument("--allow-large", action="store_true", help=ALLOW_LARGE_HELP)
     return p
 
 
@@ -64,6 +65,20 @@ def _check_outputs(*paths: Path | None) -> None:
             raise ValueError(f"no directory {path.parent} to write {path.name} in")
 
 
+def _check_n(n: int, allow_large: bool) -> None:
+    if not (3 <= n <= 7) and not allow_large:
+        raise ValueError(f"n={n} outside 3..7; pass --allow-large to insist")
+
+
+def _make_svg_dir(path: Path | None) -> None:
+    """Create the figure directory before any work, or refuse it."""
+    if path is not None:
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot create the figure directory {path}: {exc}") from exc
+
+
 def _emit(path: Path | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -72,10 +87,8 @@ def _emit(path: Path | None, text: str) -> None:
 
 
 def cmd_search(args) -> int:
-    if not (3 <= args.n <= 7) and not args.allow_large:
-        print(f"n={args.n} outside 3..7; pass --allow-large to insist", file=sys.stderr)
-        return 2
     try:
+        _check_n(args.n, args.allow_large)
         cfg = SearchConfig(
             n=args.n,
             eps=args.eps,
@@ -84,6 +97,7 @@ def cmd_search(args) -> int:
             threads=args.threads,
         )
         _check_outputs(args.report, args.solutions)
+        _make_svg_dir(args.svg_dir)
     except ValueError as exc:
         print(f"ccenum search: {exc}", file=sys.stderr)
         return 2
@@ -98,11 +112,9 @@ def cmd_search(args) -> int:
     if args.solutions is not None:
         Path(args.solutions).write_text(report_mod.dump_solutions(solutions, masses))
     if args.svg_dir is not None:
-        outdir = Path(args.svg_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
         for k, rec in enumerate(records):
             svg = report_mod.render_svg(rec.representative, rec.symmetry, masses)
-            (outdir / f"cc_n{args.n}_{k}.svg").write_text(svg)
+            (args.svg_dir / f"cc_n{args.n}_{k}.svg").write_text(svg)
     proof = stats.undecided == 0 and all(r.representative.gauge_valid for r in records)
     if not proof:
         print("NOT A PROOF: undecided cubes or gauge failures remain", file=sys.stderr)
@@ -120,6 +132,7 @@ def cmd_verify(args) -> int:
         candidates = parse_candidates(text)
         if not candidates:
             raise ValueError(f"no candidate in {args.candidates}")
+        _make_svg_dir(args.svg_dir)
         results = [
             verify_candidate(k, pts, Masses.equal(len(pts)), delta=args.delta)
             for k, pts in enumerate(candidates)
@@ -130,12 +143,10 @@ def cmd_verify(args) -> int:
     out = report_mod.render_verify_report(results, args.delta)
     _emit(args.report, out)
     if args.svg_dir is not None:
-        outdir = Path(args.svg_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
         for res in results:
             if res.certified:
                 svg = report_mod.render_svg(res.solution, res.symmetry, res.masses)
-                (outdir / f"candidate_{res.index}.svg").write_text(svg)
+                (args.svg_dir / f"candidate_{res.index}.svg").write_text(svg)
     proof = all(r.certified and r.solution.gauge_valid for r in results)
     return 0 if proof else 1
 
@@ -151,6 +162,8 @@ def cmd_bench(args) -> int:
             for ordering in str(args.ordering_list).split(",")
             if ordering.strip()
         ]
+        for cfg in grid:
+            _check_n(cfg.n, args.allow_large)
         _check_outputs(args.out)
     except ValueError as exc:
         print(f"ccenum bench: {exc}", file=sys.stderr)

@@ -11,12 +11,16 @@ as thin interval points) and only the ones that lie on the box are
 evaluated.  The result is intersected with the naive evaluation, so it
 both contains the true range and never exceeds the naive bound.
 
+A thin row, whose sides are both at most `THIN` * inf r wide, keeps the
+naive evaluation alone.
+
 `bound_kernel_batch` bounds one kernel (or per-row kernels).
 `bound_pair_kernels` bounds several kernels of the same pair boxes at
 once: the squares and r-powers of the boxes and of their corners are
 computed once for all kernels, and a row evaluates its edge candidates
 only when a cheap float test cannot rule them all off the box.  Both give
-bit-identical bounds.
+bit-identical bounds, and a row's bound does not depend on the rows it
+shares a batch with.
 """
 
 from __future__ import annotations
@@ -100,26 +104,32 @@ def bound_kernel_batch(dxlo, dxhi, dylo, dyhi, a, b, slope_lo=None, slope_hi=Non
     Raises SingularBox if a box may contain the origin.  For the Y-axis
     kernel swap the dx and dy arguments (the candidate set is
     swap-symmetric).  `a` and `b` may be per-row arrays (then
-    `slope_lo`/`slope_hi` must carry the per-row critical slopes); point
-    boxes short-circuit to the naive evaluation, which is already exact
-    for them.
+    `slope_lo`/`slope_hi` must carry the per-row critical slopes).  Thin
+    rows, point boxes among them, keep the naive evaluation.
     """
     # never worse than the naive evaluation, and it certifies the precondition
     nlo, nhi = _naive(dxlo, dxhi, dylo, dyhi, a, b)
-    if np.all(dxlo == dxhi) and np.all(dylo == dyhi):
+    r2lo = bx.iadd(*bx.isqr(dxlo, dxhi), *bx.isqr(dylo, dyhi))[0]
+    rows = np.flatnonzero(~_thin_rows(dxlo, dxhi, dylo, dyhi, r2lo))
+    if not rows.size:
         return nlo, nhi
+    dxlo, dxhi, dylo, dyhi = dxlo[rows], dxhi[rows], dylo[rows], dyhi[rows]
     if slope_lo is None:
         s = _slope(int(a), int(b))
         slope_lo = np.full_like(dxlo, s.lo)
         slope_hi = np.full_like(dxlo, s.hi)
+    else:
+        slope_lo, slope_hi = slope_lo[rows], slope_hi[rows]
+    if isinstance(a, np.ndarray):
+        a, b = a[rows], b[rows]
     cx = np.stack([dxlo, dxlo, dxhi, dxhi], axis=1)
     cy = np.stack([dylo, dyhi, dylo, dyhi], axis=1)
     ca, cb = (a[:, None], b[:, None]) if isinstance(a, np.ndarray) else (a, b)
     clo, chi = _kernel_at(cx, cx, cy, cy, ca, cb)
     elo, ehi = _edge_bounds(dxlo, dxhi, dylo, dyhi, a, b, slope_lo, slope_hi)
-    lo = np.maximum(np.minimum(clo.min(axis=1), elo), nlo)
-    hi = np.minimum(np.maximum(chi.max(axis=1), ehi), nhi)
-    return lo, hi
+    nlo[rows] = np.maximum(np.minimum(clo.min(axis=1), elo), nlo[rows])
+    nhi[rows] = np.minimum(np.maximum(chi.max(axis=1), ehi), nhi[rows])
+    return nlo, nhi
 
 
 def _edge_bounds(dxlo, dxhi, dylo, dyhi, a, b, slope_lo, slope_hi):
@@ -156,6 +166,19 @@ def _edge_bounds(dxlo, dxhi, dylo, dyhi, a, b, slope_lo, slope_hi):
     lo[valid] = vlo
     hi[valid] = vhi
     return lo.min(axis=1), hi.max(axis=1)
+
+
+# A row is thin when both side widths are at most THIN * inf r.  Its naive
+# enclosure then overestimates the range by only O(width / r), so the
+# candidates cost more than they gain.  Search boxes are never that thin;
+# the midpoint residual of a Krawczyk step and a contracted box are.
+THIN = 2.0**-30
+
+
+def _thin_rows(dxlo, dxhi, dylo, dyhi, r2lo):
+    """Rows that keep the naive evaluation, from inf r^2 of each row.  NaN rows
+    are not thin."""
+    return np.maximum(dxhi - dxlo, dyhi - dylo) <= THIN * np.sqrt(r2lo)
 
 
 # A row is plain when every |side| lies in [_SIDE_MIN, _SIDE_MAX] and the
@@ -211,8 +234,9 @@ def bound_pair_kernels(dxlo, dxhi, dylo, dyhi, kinds):
     contain the origin.
 
     The squares and r-powers of the boxes and of their four corners are
-    computed once for all kernels; only rows that are not plain evaluate
-    their 20 edge candidates, `EDGE_ROWS` rows at a time.
+    computed once for all kernels.  Thin rows keep the naive enclosure; of
+    the others, only rows that are not plain evaluate their 20 edge
+    candidates, `EDGE_ROWS` rows at a time.
     """
     x2 = bx.isqr(dxlo, dxhi)
     y2 = bx.isqr(dylo, dyhi)
@@ -229,33 +253,44 @@ def bound_pair_kernels(dxlo, dxhi, dylo, dyhi, kinds):
         else:
             lo[k], hi[k] = bx.idiv_pos(*num[axis, a], *pw[b])
     shaped = [k for k, kind in enumerate(kinds) if kind[0] != 0]
-    if not shaped:
+    rows = np.flatnonzero(~_thin_rows(dxlo, dxhi, dylo, dyhi, r2lo))
+    if not shaped or not rows.size:
         return lo, hi
-    shaped_kinds = tuple(kinds[k] for k in shaped)
+    at = np.ix_(shaped, rows)
+    clo, chi = _candidate_bounds(
+        dxlo[rows], dxhi[rows], dylo[rows], dyhi[rows], tuple(kinds[k] for k in shaped)
+    )
+    lo[at] = np.maximum(clo, lo[at])
+    hi[at] = np.minimum(chi, hi[at])
+    return lo, hi
 
+
+def _candidate_bounds(dxlo, dxhi, dylo, dyhi, kinds):
+    """Smallest lower and largest upper enclosure over the corners and edge
+    candidates of each row, shape (len(kinds), B), for kinds with a > 0."""
     # the four corners of every row as (B, 2, 2): x varies on axis 1, y on axis 2
     cx = np.stack([dxlo, dxhi], axis=1)[:, :, None]
     cy = np.stack([dylo, dyhi], axis=1)[:, None, :]
     cx2 = bx.isqr(cx, cx)
     cy2 = bx.isqr(cy, cy)
-    cpw = _r_powers(*bx.iadd(*cx2, *cy2), {b for _, b, _ in shaped_kinds})
+    cpw = _r_powers(*bx.iadd(*cx2, *cy2), {b for _, b, _ in kinds})
     cnum = {("X", 1): (cx, cx), ("Y", 1): (cy, cy), ("X", 2): cx2, ("Y", 2): cy2}
-    clo = np.empty((len(shaped), len(dxlo)))
+    clo = np.empty((len(kinds), len(dxlo)))
     chi = np.empty_like(clo)
-    for i, (a, b, axis) in enumerate(shaped_kinds):
+    for i, (a, b, axis) in enumerate(kinds):
         vlo, vhi = bx.idiv_pos(*cnum[axis, a], *cpw[b])
         clo[i] = vlo.min(axis=(1, 2))
         chi[i] = vhi.max(axis=(1, 2))
 
-    rows = np.flatnonzero(~_plain_rows(dxlo, dxhi, dylo, dyhi, shaped_kinds))
+    rows = np.flatnonzero(~_plain_rows(dxlo, dxhi, dylo, dyhi, kinds))
     for at in range(0, rows.size, EDGE_ROWS):
         part = rows if rows.size <= EDGE_ROWS else rows[at : at + EDGE_ROWS]
         xr = (dxlo[part], dxhi[part])
         yr = (dylo[part], dyhi[part])
         # all kinds in one kind-major batch, numerator axis first as in bound_kernel_batch
-        args = [xr + yr if axis == "X" else yr + xr for _, _, axis in shaped_kinds]
-        a_k, b_k, _ = zip(*shaped_kinds)
-        s_k = [_slope(a, b) for a, b, _ in shaped_kinds]
+        args = [xr + yr if axis == "X" else yr + xr for _, _, axis in kinds]
+        a_k, b_k, _ = zip(*kinds)
+        s_k = [_slope(a, b) for a, b, _ in kinds]
         elo, ehi = _edge_bounds(
             *(np.concatenate(c) for c in zip(*args)),
             np.repeat(a_k, part.size),
@@ -263,11 +298,9 @@ def bound_pair_kernels(dxlo, dxhi, dylo, dyhi, kinds):
             np.repeat([s.lo for s in s_k], part.size),
             np.repeat([s.hi for s in s_k], part.size),
         )
-        clo[:, part] = np.minimum(clo[:, part], elo.reshape(len(shaped), -1))
-        chi[:, part] = np.maximum(chi[:, part], ehi.reshape(len(shaped), -1))
-    lo[shaped] = np.maximum(clo, lo[shaped])
-    hi[shaped] = np.minimum(chi, hi[shaped])
-    return lo, hi
+        clo[:, part] = np.minimum(clo[:, part], elo.reshape(len(kinds), -1))
+        chi[:, part] = np.maximum(chi[:, part], ehi.reshape(len(kinds), -1))
+    return clo, chi
 
 
 def _naive(dxlo, dxhi, dylo, dyhi, a, b):

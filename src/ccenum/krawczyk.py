@@ -11,7 +11,8 @@ batch of them per call; it is the one implementation of the operator.
 The search keeps adding boxes while older ones still iterate;
 `iterate_batch` adds a batch and steps until every box has an outcome,
 `iterate_arrays` does so for one box, and `contract` repeats single
-steps to tighten a certified box.
+steps to tighten a certified box until a step no longer halves its
+widest edge.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .errors import SingularMidpoint
 # C is rejected when max|C| * max|mid| exceeds this: the midpoint is then
 # numerically singular, and a Krawczyk step with such a C cannot contract
 GROWTH_MAX = 1e12
-# `contract` stops once every width is below CONTRACT_TOL, or after
-# CONTRACT_STEPS steps
+# `contract` stops at the first step that does not halve the widest edge,
+# once every width is below CONTRACT_TOL, or after CONTRACT_STEPS steps
 CONTRACT_TOL = 1e-13
 CONTRACT_STEPS = 40
 
@@ -228,14 +229,21 @@ def contract(rctx, zlo, zhi):
     steps, each kept while it certifies or refines the box.
 
     Zeros are preserved by every step, so the result is a valid (and
-    usually much tighter) enclosure of the same unique zero.
+    usually much tighter) enclosure of the same unique zero.  It stops
+    after the first step that does not halve the widest edge: quadratic
+    convergence is then over, and further steps would only move the
+    bounds by ulps at the rounding floor.  It also stops once every width
+    is below `CONTRACT_TOL`, or after `CONTRACT_STEPS` steps.
     """
     lo, hi = zlo, zhi
     for _ in range(CONTRACT_STEPS):
-        if np.max(hi - lo) < CONTRACT_TOL:
+        width = np.max(hi - lo)
+        if width < CONTRACT_TOL:
             break
         out = iterate_arrays(rctx, lo, hi, max_iter=1)
         if out.tag != "unique_zero" and not out.refined:
             break
         lo, hi = out.lo, out.hi
+        if np.max(hi - lo) > 0.5 * width:
+            break
     return lo, hi

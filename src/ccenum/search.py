@@ -290,8 +290,9 @@ def search(box: ReducedBox, cfg: SearchConfig, masses: Masses):
     Returns (solutions, stats, undecided_boxes); a run is a proof only
     when no undecided boxes remain.  With `threads > 1` worker processes
     take subtrees of at most `TASK_BOXES` boxes and hand back the stack
-    they did not reach, which is split again into new tasks; every box is
-    processed once by the same code, so the counters are the serial run's.
+    they did not reach, which becomes a new task, halved only when a
+    worker would otherwise idle; every box is processed once by the same
+    code, so the counters are the serial run's.
     Solutions and undecided boxes come back sorted by their bounds, so
     both paths give the same lists in the same order.
     """
@@ -309,7 +310,24 @@ def search(box: ReducedBox, cfg: SearchConfig, masses: Masses):
     return sols, stats, undec
 
 
+def _feed_idle(queue: list, busy: int, workers: int) -> list:
+    """The queued (lo, hi) stacks, with the largest one halved into its
+    bottom and top halves, in place, while fewer than `workers` stacks are
+    queued or `busy`.  Every box stays queued once, in the same order."""
+    queue = list(queue)
+    while len(queue) + busy < workers:
+        k = max(range(len(queue)), key=lambda i: len(queue[i][0]), default=None)
+        if k is None or len(queue[k][0]) < 2:
+            break
+        lo, hi = queue[k]
+        h = len(lo) // 2
+        queue[k : k + 1] = [(lo[:h], hi[:h]), (lo[h:], hi[h:])]
+    return queue
+
+
 def _search_parallel(root, cfg: SearchConfig, masses: Masses):
+    """`workers` tasks in flight; a returned stack is queued whole, and a
+    stack is halved only to feed a worker that would otherwise idle."""
     workers = min(cfg.threads, max(1, os.cpu_count() or 1))
     stats = SearchStats()
     sols, undec = [], []
@@ -318,7 +336,8 @@ def _search_parallel(root, cfg: SearchConfig, masses: Masses):
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         while queue or running:
-            while queue and len(running) < 2 * workers:
+            queue = _feed_idle(queue, len(running), workers)
+            while queue and len(running) < workers:
                 running.add(pool.submit(_subtree_task, (cfg, masses, queue.pop(), TASK_BOXES)))
             finished, running = wait(running, return_when=FIRST_COMPLETED)
             for fut in finished:
@@ -326,8 +345,8 @@ def _search_parallel(root, cfg: SearchConfig, masses: Masses):
                 stats.merge(sub_stats)
                 sols += part
                 undec += part_undec
-                rlo, rhi = rest
-                queue += [(rlo[k::workers], rhi[k::workers]) for k in range(min(workers, len(rlo)))]
+                if len(rest[0]):
+                    queue.append(rest)
     finally:
         pool.shutdown(cancel_futures=True)
     return sols, stats, undec

@@ -4,7 +4,9 @@ Each candidate is re-gauged (center of mass to the origin, furthest body
 rotated onto the positive x axis and moved to slot n-2), seeded as a box
 of half-width delta and certified with the operator iteration, doubling
 delta on failure.  Certified solutions are contracted to tight enclosures
-before the scalars and the symmetry verdict are computed.
+before the scalars and the symmetry verdict are computed; the contraction
+stops at the first operator step that does not halve the widest edge
+(`krawczyk.contract`).
 """
 
 from __future__ import annotations

@@ -14,8 +14,16 @@ from ccenum.verify import verify_candidate
 N3_CANDIDATES = Path(__file__).parent / "data" / "cc_n3.txt"
 
 
-def _started(*args):
+def _started(*args, **kwargs):
     raise AssertionError("a search started")
+
+
+class Started(Exception):
+    pass
+
+
+def _raise_started(*args, **kwargs):
+    raise Started
 
 
 class TestSearchCommand:
@@ -67,15 +75,29 @@ class TestSearchCommand:
         assert str(missing.parent) in capsys.readouterr().err
 
     def test_allow_large_flag(self, monkeypatch):
-        class Started(Exception):
-            pass
-
-        def started(*args):
-            raise Started
-
-        monkeypatch.setattr(cli, "search", started)
+        monkeypatch.setattr(cli, "search", _raise_started)
         with pytest.raises(Started):
             main(["search", "--n", "9", "--allow-large"])
+
+    def test_svg_dir_naming_a_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        """An `--svg-dir` that cannot be a directory is refused before the
+        search, not after it."""
+        monkeypatch.setattr(cli, "search", _started)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["search", "--n", "3", "--svg-dir", str(afile)]) == 2
+        assert str(afile) in capsys.readouterr().err
+
+    def test_svg_dir_created_before_the_search(self, tmp_path, monkeypatch):
+        svg_dir = tmp_path / "a" / "figs"
+
+        def search(*args):
+            assert svg_dir.is_dir()
+            raise Started
+
+        monkeypatch.setattr(cli, "search", search)
+        with pytest.raises(Started):
+            main(["search", "--n", "3", "--svg-dir", str(svg_dir)])
 
     def test_defaults_are_the_config_defaults(self):
         args = cli.build_parser().parse_args(["search"])
@@ -196,6 +218,24 @@ class TestVerifyCommand:
         assert main(["verify", "--candidates", str(N3_CANDIDATES), "--report", str(missing)]) == 2
         assert str(missing.parent) in capsys.readouterr().err
 
+    def test_svg_dir_naming_a_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "verify_candidate", _started)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["verify", "--candidates", str(N3_CANDIDATES), "--svg-dir", str(afile)]) == 2
+        assert str(afile) in capsys.readouterr().err
+
+    def test_svg_dir_created_before_the_work(self, tmp_path, monkeypatch):
+        svg_dir = tmp_path / "a" / "figs"
+
+        def verify(*args, **kwargs):
+            assert svg_dir.is_dir()
+            raise Started
+
+        monkeypatch.setattr(cli, "verify_candidate", verify)
+        with pytest.raises(Started):
+            main(["verify", "--candidates", str(N3_CANDIDATES), "--svg-dir", str(svg_dir)])
+
     def test_environment_is_not_read(self, tmp_path, monkeypatch):
         """Flags are the only settings: a variable of a former settings
         mirror that is not even a number changes nothing."""
@@ -244,6 +284,18 @@ class TestBenchCommand:
         monkeypatch.setattr(cli, "search", _started)
         assert main(["bench", "--n-list", "3", *args]) == 2
         assert "ccenum bench:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_list", ["9", "3,8", "10,4"])
+    def test_large_n_guard(self, n_list, monkeypatch, capsys):
+        """n outside 3..7 exits 2 before any search, as in `search`."""
+        monkeypatch.setattr(cli, "search", _started)
+        assert main(["bench", "--n-list", n_list]) == 2
+        assert "--allow-large" in capsys.readouterr().err
+
+    def test_allow_large_flag(self, monkeypatch):
+        monkeypatch.setattr(cli, "search", _raise_started)
+        with pytest.raises(Started):
+            main(["bench", "--n-list", "9", "--allow-large"])
 
     def test_defaults_are_the_config_defaults(self):
         args = cli.build_parser().parse_args(["bench"])

@@ -241,18 +241,32 @@ def _special_boxes(a, b):
     return tuple(np.array(col) for col in zip(*rows))
 
 
+def _thin(xlo, xhi, ylo, yhi):
+    r2lo = bx.iadd(*bx.isqr(xlo, xhi), *bx.isqr(ylo, yhi))[0]
+    return kernels._thin_rows(xlo, xhi, ylo, yhi, r2lo)
+
+
+def _assert_dense_or_naive(out, xlo, xhi, ylo, yhi, a, b, slo, shi):
+    """Thin rows carry `_naive`, every other row the dense reference, bit for bit."""
+    ref = dense_reference(xlo, xhi, ylo, yhi, a, b, slo, shi)
+    naive = kernels._naive(xlo, xhi, ylo, yhi, a, b)
+    thin = _thin(xlo, xhi, ylo, yhi)
+    for o, r, v in zip(out, ref, naive):
+        assert np.array_equal(o[~thin], r[~thin]) and np.array_equal(o[thin], v[thin])
+    return thin
+
+
 def _check_against_dense(xlo, xhi, ylo, yhi, a, b, per_row=False):
     s = _slope(a, b)
     k = len(xlo)
     av, bv = np.full(k, a), np.full(k, b)
     slo, shi = np.full(k, s.lo), np.full(k, s.hi)
-    ref = dense_reference(xlo, xhi, ylo, yhi, av, bv, slo, shi)
     out = (
         bound_kernel_batch(xlo, xhi, ylo, yhi, av, bv, slo, shi)
         if per_row
         else bound_kernel_batch(xlo, xhi, ylo, yhi, a, b)
     )
-    assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
+    return _assert_dense_or_naive(out, xlo, xhi, ylo, yhi, av, bv, slo, shi)
 
 
 class TestCompactionMatchesDense:
@@ -261,14 +275,15 @@ class TestCompactionMatchesDense:
         rng = np.random.default_rng(100 * a + b)
         boxes = _random_boxes(rng, 24000)
         assert len(boxes[0]) >= 20000
-        _check_against_dense(*boxes, a, b)
+        thin = _check_against_dense(*boxes, a, b)
+        assert 0.02 < thin.mean() < 0.2  # both rules are exercised
         _check_against_dense(*boxes, a, b, per_row=True)
 
     @pytest.mark.parametrize("a,b", [(1, 3), (1, 2), (2, 5)])
     def test_special_boxes(self, a, b):
         boxes = _special_boxes(a, b)
         _check_against_dense(*boxes, a, b)
-        for i in range(len(boxes[0])):  # one row at a time: the point short-circuit
+        for i in range(len(boxes[0])):  # one row at a time: thin rows alone
             _check_against_dense(*(c[i : i + 1] for c in boxes), a, b)
 
     def test_per_row_layout_of_the_reduced_jacobian(self):
@@ -285,9 +300,8 @@ class TestCompactionMatchesDense:
         b = np.tile(np.repeat(b, P), k)
         slo = np.tile(np.repeat([s.lo for s in slopes], P), k)
         shi = np.tile(np.repeat([s.hi for s in slopes], P), k)
-        ref = dense_reference(xlo, xhi, ylo, yhi, a, b, slo, shi)
         out = bound_kernel_batch(xlo, xhi, ylo, yhi, a, b, slo, shi)
-        assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
+        _assert_dense_or_naive(out, xlo, xhi, ylo, yhi, a, b, slo, shi)
 
     def test_singular_box_raises_before_any_float_warning(self):
         # underflow stays quiet: the outward step of boxops from 0.0 is the
@@ -443,7 +457,7 @@ class TestPairKernelsMatchPerKernel:
         plain = kernels._plain_rows(*boxes, tuple(k for k in kinds if k[0]))
         assert 0.2 < plain.mean() < 0.8  # both paths are exercised
         # the edge candidates take several slices of EDGE_ROWS rows, the last one partial
-        edge_rows = np.count_nonzero(~plain)
+        edge_rows = np.count_nonzero(~plain & ~_thin(*boxes))
         assert edge_rows > 2 * kernels.EDGE_ROWS and edge_rows % kernels.EDGE_ROWS
         _check_pair(boxes, kinds)
         for i in range(0, 40):  # single rows, where bound_kernel_batch may short-circuit
@@ -488,3 +502,88 @@ class TestPairKernelsMatchPerKernel:
             bound_pair_kernels(*tiny, kinds)
         with pytest.raises(SingularBox):
             bound_kernel_batch(*tiny, 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# thin rows keep the naive enclosure
+
+
+def _thin_sample(rng, count):
+    """Boxes with sides up to THIN/2 * r wide: a third straddle y = 0 or x = 0,
+    as the pair boxes of a symmetric configuration do, a sixth sit on a
+    critical line and some are points."""
+    cx = rng.uniform(-3, 3, count)
+    cy = rng.uniform(-3, 3, count)
+    third = count // 3
+    cy[:third:2] = 0.0
+    cx[1:third:2] = 0.0
+    s = float(np.sqrt(2.0))  # y = sqrt(2) x, the critical line of x / r^3
+    cy[third : third + count // 6] = s * cx[third : third + count // 6]
+    r = np.hypot(cx, cy)
+    keep = r > 0.05
+    cx, cy, r = cx[keep], cy[keep], r[keep]
+    wx = 0.25 * kernels.THIN * r * 10.0 ** rng.uniform(-6, 0, len(r))
+    wy = 0.25 * kernels.THIN * r * 10.0 ** rng.uniform(-6, 0, len(r))
+    point = rng.random(len(r)) < 0.05
+    wx[point] = wy[point] = 0.0
+    boxes = cx - wx, cx + wx, cy - wy, cy + wy
+    assert _thin(*boxes).all()
+    return boxes
+
+
+def _naive_kind(xlo, xhi, ylo, yhi, a, b, axis):
+    if axis == "Y":
+        xlo, xhi, ylo, yhi = ylo, yhi, xlo, xhi
+    return kernels._naive(xlo, xhi, ylo, yhi, a, b)
+
+
+class TestThinRows:
+    def test_naive_bit_for_bit(self):
+        boxes = _thin_sample(np.random.default_rng(2718), 3000)
+        kinds = tuple(k for k in JAC_KINDS + ACCEL_KINDS if k[0])
+        # most rows would run the edge candidates without the thin rule
+        assert (~kernels._plain_rows(*boxes, kinds)).mean() > 0.3
+        for a, b in ((1, 3), (1, 2), (2, 5)):
+            lo, hi = bound_kernel_batch(*boxes, a, b)
+            nlo, nhi = kernels._naive(*boxes, a, b)
+            assert np.array_equal(lo, nlo) and np.array_equal(hi, nhi), (a, b)
+        lo, hi = bound_pair_kernels(*boxes, kinds)
+        for k, kind in enumerate(kinds):
+            nlo, nhi = _naive_kind(*boxes, *kind)
+            assert np.array_equal(lo[k], nlo) and np.array_equal(hi[k], nhi), kind
+
+    def test_enclosure_contains_exact_values(self):
+        rng = np.random.default_rng(1618)
+        boxes = _thin_sample(rng, 90)
+        saved = mpmath.iv.dps
+        mpmath.iv.dps = 50
+        try:
+            with mpmath.workdps(50):
+                for a, b in ((1, 3), (1, 2), (2, 5)):
+                    lo, hi = bound_kernel_batch(*boxes, a, b)
+                    for i, row in enumerate(zip(*boxes)):
+                        for x, y in _mp_points(*row, a, b, rng):
+                            v = _iv_kernel(x, y, a, b)
+                            assert lo[i] <= v.a and v.b <= hi[i], (a, b, row, x, y)
+        finally:
+            mpmath.iv.dps = saved
+
+    @pytest.mark.parametrize("kinds", [ACCEL_KINDS, JAC_KINDS], ids=["accel", "jacobian"])
+    def test_same_bits_alone_and_in_a_mixed_batch(self, kinds):
+        """A row's bound does not depend on the rows that share its batch: a
+        thin row alone takes the naive path, in a mixed batch the candidate
+        path runs for the other rows."""
+        rng = np.random.default_rng(1414)
+        thin = _thin_sample(rng, 300)
+        mixed = [np.concatenate(c) for c in zip(_random_boxes(rng, 3000), thin)]
+        order = rng.permutation(len(mixed[0]))
+        mixed = [c[order] for c in mixed]
+        is_thin = _thin(*mixed)
+        assert 0.05 < is_thin.mean() < 0.5
+        lo, hi = bound_pair_kernels(*mixed, kinds)
+        for i in np.flatnonzero(is_thin)[:60].tolist() + np.flatnonzero(~is_thin)[:20].tolist():
+            alo, ahi = bound_pair_kernels(*(c[i : i + 1] for c in mixed), kinds)
+            assert np.array_equal(alo[:, 0], lo[:, i]) and np.array_equal(ahi[:, 0], hi[:, i])
+        at = np.flatnonzero(is_thin)
+        tlo, thi = bound_pair_kernels(*(c[at] for c in mixed), kinds)
+        assert np.array_equal(tlo, lo[:, at]) and np.array_equal(thi, hi[:, at])

@@ -9,7 +9,7 @@ from ccenum import reduced as reduced_mod
 from ccenum.errors import SingularMidpoint
 from ccenum.interval import Interval
 from ccenum.model import Masses
-from ccenum.verify import gauge_candidate
+from ccenum.verify import gauge_candidate, verify_candidate
 from oracles import newton_polish, polish_listed
 from conftest import load_listed
 
@@ -180,6 +180,23 @@ class TestContract:
                 lo, hi = krawczyk.contract(rctx, out.lo, out.hi)
                 assert np.all(out.lo <= lo) and np.all(hi <= out.hi), (n, pts)
                 assert np.max(hi - lo) < 1e-11, (n, pts)
+
+    def test_operator_steps_of_one_verify_pass(self, monkeypatch):
+        """Tripwire: one `verify` pass over the 39 listed n = 6..10 candidates
+        (seed boxes, `contract`, symmetry proofs) takes 204 operator steps;
+        265 when `contract` went on stepping at the rounding floor."""
+        calls = []
+        step = krawczyk.Iteration.step
+
+        def counted(self, limit):
+            calls.append(limit)
+            return step(self, limit)
+
+        monkeypatch.setattr(krawczyk.Iteration, "step", counted)
+        for n in range(6, 11):
+            for k, pts in enumerate(load_listed(n)):
+                assert verify_candidate(k, pts, Masses.equal(n)).certified, (n, k)
+        assert len(calls) == 204
 
 
 class TestBatchedInverse:

@@ -175,8 +175,9 @@ class TestSearchRuns:
         assert _boxes(sols) == _boxes(run_n3.solutions)
 
     def test_parallel_same_solution_set(self, run_n3, monkeypatch):
-        """Small task budgets force repeated splits; the tree, the counters
-        and the output order do not depend on them or on timing."""
+        """Small task budgets force many tasks and stack splits; the tree,
+        the counters and the output order do not depend on them or on
+        timing."""
         monkeypatch.setattr(search_mod, "TASK_BOXES", 16)
         cfg = SearchConfig(n=3, threads=2)
         m = Masses.equal(3)
@@ -227,6 +228,43 @@ class TestSearchRuns:
         m = Masses([Interval(0.5), Interval(0.3), Interval(0.2)])
         with pytest.raises(RefusedUnequalMasses):
             search(initial_domain(cfg), cfg, m)
+
+
+class TestFeedIdle:
+    @staticmethod
+    def _queue(sizes, d=3):
+        """Stacks of distinct boxes: box k has every lo entry k."""
+        start = np.cumsum([0] + list(sizes))
+        return [
+            (np.repeat(np.arange(a, b, dtype=float)[:, None], d, axis=1),) * 2
+            for a, b in zip(start, start[1:])
+        ]
+
+    @staticmethod
+    def _rows(queue):
+        return np.concatenate([lo[:, 0] for lo, _ in queue]).tolist()
+
+    @pytest.mark.parametrize("sizes", [[1], [2], [7], [300, 5], [1, 1, 40], [6, 2, 9, 3]])
+    def test_every_box_once(self, sizes):
+        queue = self._queue(sizes)
+        for busy in range(4):
+            for workers in (1, 2, 3, 4, 8):
+                out = search_mod._feed_idle(queue, busy, workers)
+                # every box once, in the same order: contiguous halves, in place
+                assert self._rows(out) == self._rows(queue)
+                assert all(len(lo) and lo.shape == hi.shape for lo, hi in out)
+                # split until no worker idles, and no further
+                assert len(out) == max(len(queue), min(workers - busy, sum(sizes)))
+
+    def test_no_split_while_no_worker_idles(self):
+        queue = self._queue([500, 3])
+        for busy, workers in ((0, 2), (1, 2), (2, 2), (3, 4), (5, 4)):
+            out = search_mod._feed_idle(queue, busy, workers)
+            assert len(out) == 2 and all(a is b for a, b in zip(out, queue))
+
+    def test_halves_the_largest(self):
+        out = search_mod._feed_idle(self._queue([4, 9, 2]), busy=0, workers=4)
+        assert [len(lo) for lo, _ in out] == [4, 4, 5, 2]
 
 
 def _boxes(solutions):
