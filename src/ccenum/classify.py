@@ -229,11 +229,14 @@ def _same_radius(image, orig):
     return _may_meet((rlo[:n], rhi[:n]), (rlo[n:], rhi[n:]))
 
 
-def candidate_pairings(image, orig):
+def candidate_pairings(image, orig, target: int | None = None):
     """Permutations sigma with image body i matching orig body sigma(i),
-    pruned by radius compatibility, nearest-match first."""
+    pruned by radius compatibility, nearest-match first; with `target`
+    given, only those with sigma(n-2) = target."""
     n = len(image[0])
     meet = _same_radius(image, orig)
+    if target is not None:
+        meet[n - 2] &= np.arange(n) == target
     allowed = [np.flatnonzero(row).tolist() for row in meet]
     # nearest-match candidate, ties to the lowest j
     (mx, my), (ox, oy) = _mid(image).T, _mid(orig).T
@@ -309,11 +312,12 @@ def _hull_certifies(rctx, za, zb) -> bool:
     return blow_up(rctx, hlo, hhi)
 
 
-def _certified_pairing(rctx, za, image, orig, masses: Masses, max_tries: int):
-    """The first candidate pairing sigma (image body i is orig body sigma(i))
-    under which the permuted, re-gauged image certifies as the zero in za;
-    None when none of the first max_tries candidates does."""
-    for sigma in islice(candidate_pairings(image, orig), max_tries):
+def _certified_pairing(rctx, za, image, orig, masses: Masses, max_tries: int, target=None):
+    """The first candidate pairing sigma (image body i is orig body sigma(i),
+    sigma(n-2) = `target` when given) under which the permuted, re-gauged
+    image certifies as the zero in za; None when none of the first
+    max_tries candidates does."""
+    for sigma in islice(candidate_pairings(image, orig, target), max_tries):
         inv = np.argsort(sigma)
         zb = regauge_to_reduced((image[0][inv], image[1][inv]), masses)
         if zb is not None and _hull_certifies(rctx, za, zb):
@@ -345,22 +349,30 @@ def _axis_refuted(bodies, reflected, pinned: int | None = None) -> bool:
 
 def symmetry_check(s: SolutionBox, masses: Masses) -> SymmetryResult:
     """Prove a reflection symmetry (axis plus body permutation) or certified
-    asymmetry for a certified solution."""
+    asymmetry for a certified solution.
+
+    Re-gauging rotates the image back, so a certified sigma proves the
+    reflection sending body n-2 to body sigma(n-2), whatever axis was tried:
+    the OX question accepts only sigma(n-2) = n-2, that for body i only i.
+    """
     rctx = reduced_mod.reduced_ctx(masses)
     n = masses.n
     za = s.reduced.arrays()
     bodies = full_bodies(s.reduced, masses)
     lo, hi = bodies
-    ox_perm = _certified_pairing(rctx, za, reflect_ox(bodies), bodies, masses, SYMMETRY_TRIES)
+    ox_perm = _certified_pairing(
+        rctx, za, reflect_ox(bodies), bodies, masses, SYMMETRY_TRIES, target=n - 2
+    )
+    same_radius = _same_radius(bodies, bodies)[n - 2]
     line = None
     for i in range(n):
-        if i == n - 2:
-            continue
+        if i == n - 2 or not same_radius[i]:
+            continue  # no reflection sends body n-2 to body i
         axis = approx_axis((lo[n - 2], hi[n - 2]), (lo[i], hi[i]))
         if axis is None:
             continue
         sigma = _certified_pairing(
-            rctx, za, reflect_line(bodies, axis), bodies, masses, SYMMETRY_TRIES
+            rctx, za, reflect_line(bodies, axis), bodies, masses, SYMMETRY_TRIES, target=i
         )
         if sigma is None:
             continue
@@ -378,7 +390,6 @@ def symmetry_check(s: SolutionBox, masses: Masses) -> SymmetryResult:
     # attempt certified asymmetry: every admissible axis must be refuted
     if not _axis_refuted(bodies, reflect_ox(bodies), pinned=n - 2):
         return SymmetryResult(None, None, asymmetric=False)
-    same_radius = _same_radius(bodies, bodies)[n - 2]
     for i in range(n):
         if i == n - 2 or not same_radius[i]:
             continue  # no body could be the image of body n-2 along this ray

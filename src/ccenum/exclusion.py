@@ -108,14 +108,22 @@ class _BatchFrame:
 # batched tests
 
 
+def _u_lo(ctx, rhi: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """inf U over the pairs set in the mask `pairs` (..., P), from sup r; valid
+    when a distance may vanish, as that only grows U.  Masked-out terms are
+    exact zeros, as in `boxops.isum`; a sum of k terms is padded by 1 - k 2^-52."""
+    with np.errstate(divide="ignore"):
+        terms = np.where(pairs, np.nextafter(ctx.mmlo / rhi, -np.inf), 0.0)
+    k = np.count_nonzero(pairs, axis=-1)
+    return np.maximum(np.nextafter(np.sum(terms, axis=-1) * (1.0 - k * _U), -np.inf), 0.0)
+
+
 def u_eq_i_excluded_batch(ctx, fr: _BatchFrame) -> np.ndarray:
     """Disjoint U and I enclosures contradict U = I.  Collision tolerant:
     inf U stays valid when a distance may vanish (the potential only
     grows), and sup U is used only on collision-free boxes."""
-    with np.errstate(divide="ignore"):
-        terms_lo = np.nextafter(ctx.mmlo / fr.rhi, -np.inf)
     k = ctx.P
-    U_lo = np.nextafter(np.sum(terms_lo, axis=-1) * (1.0 - k * _U), -np.inf)
+    U_lo = _u_lo(ctx, fr.rhi, np.ones(k, dtype=bool))
     milo, mihi = bxo.imul(ctx.mlo, ctx.mhi, fr.q2lo, fr.q2hi)
     I_lo, I_hi = bxo.isum(milo, mihi, axis=-1)
     fired = I_hi < U_lo
@@ -348,12 +356,7 @@ def cluster_groups_excluded(ctx, fr: _BatchFrame, box: np.ndarray, mask: np.ndar
 
     # moment/potential test: sup I_C < inf U_C + inf F_C
     collided = np.any(intra & (fr.rhi[box] <= 0.0), axis=-1)
-    k = np.count_nonzero(intra, axis=-1)
-    with np.errstate(divide="ignore"):
-        terms_lo = np.nextafter(ctx.mmlo / fr.rhi[box], -np.inf)
-    terms_lo = np.where(intra, terms_lo, 0.0)  # zero-filled, as in boxops.isum
-    U_lo = np.nextafter(np.sum(terms_lo, axis=-1) * (1.0 - k * _U), -np.inf)
-    U_lo = np.where(k > 0, np.maximum(U_lo, 0.0), 0.0)
+    U_lo = _u_lo(ctx, fr.rhi[box], intra)
     milo, mihi = bxo.imul(ctx.mlo, ctx.mhi, fr.q2lo[box], fr.q2hi[box])
     _, I_hi = bxo.isum(milo, mihi, axis=-1, where=mask)
     F_lo, _ = bxo.isum(

@@ -2,17 +2,19 @@
 
 K(x0, [x]) = x0 - C F(x0) + (Id - C [dF([x])]) ([x] - x0) with x0 the box
 midpoint and C an approximate (exact float, not rigorous) inverse of the
-midpoint Jacobian.  K strictly inside the box proves exactly one zero; K
-disjoint from the box proves none; otherwise the intersection K cap [x]
-still contains every zero of the box and is kept as a refinement.
+midpoint Jacobian of the box, computed afresh at every step.  K strictly
+inside the box proves exactly one zero; K disjoint from the box proves
+none; otherwise the intersection K cap [x] still contains every zero of
+the box and the next step starts from it.
 
 `Iteration` holds boxes in flight and applies one operator step to a
-batch of them per call; it is the one implementation of the operator.
+batch of them per call; it is the one implementation of the operator,
+and it reports each finished box as a verdict, an index into `TAGS`.
 The search keeps adding boxes while older ones still iterate;
-`iterate_batch` adds a batch and steps until every box has an outcome,
-`iterate_arrays` does so for one box, and `contract` repeats single
-steps to tighten a certified box until a step no longer halves its
-widest edge.
+`iterate_batch` adds a batch, steps until every box has a verdict and
+returns them as `KrawczykOutcome`s, `iterate_arrays` does so for one box,
+and `contract` repeats single steps to tighten a certified box until a
+step no longer halves its widest edge.
 """
 
 from __future__ import annotations
@@ -34,12 +36,16 @@ CONTRACT_TOL = 1e-13
 CONTRACT_STEPS = 40
 
 
+# the verdicts of a step, each an index into TAGS
+TAGS = ("unique_zero", "no_zero", "failed")
+UNIQUE_ZERO, NO_ZERO, FAILED = range(len(TAGS))
+
+
 @dataclass(frozen=True)
 class KrawczykOutcome:
-    tag: str  # "unique_zero" | "no_zero" | "failed"
-    lo: np.ndarray | None = None  # certified/refined box (None for no_zero)
+    tag: str  # one of TAGS
+    lo: np.ndarray | None = None  # the certified or last box (None for no_zero)
     hi: np.ndarray | None = None
-    refined: bool = False  # for "failed": whether the box was shrunk at all
 
 
 def midpoint_inverse_batch(Jlo: np.ndarray, Jhi: np.ndarray):
@@ -83,21 +89,20 @@ class Iteration:
     """Boxes in flight through the operator iteration, one step at a time.
 
     `add` enters boxes; `step(limit)` applies the operator once to at most
-    `limit` of them, oldest first, and returns the outcomes of those that
+    `limit` of them, oldest first, and returns the verdicts of those that
     finished.  Per box: certify the unique zero (K strictly interior), rule
-    zeros out (K disjoint), or give up, keeping the last intersection as
-    the refinement; a box gives up when a step finds a possible collision,
-    a bad midpoint inverse, no shrink at all or less than 5% in every
-    coordinate, or after `max_iter` steps.  C is reused across steps until
-    some coordinate shrinks below half the width it had when C was
-    computed.  Every row of a step is computed by itself, so a box gets the
-    same outcome whichever boxes share its steps.
+    zeros out (K disjoint), or give up, keeping the last intersection; a
+    box gives up when a step finds a possible collision, a bad midpoint
+    inverse, no shrink at all or less than 5% in every coordinate, or after
+    `max_iter` steps.  Every step inverts the midpoint Jacobian of the box
+    it is applied to, and every row of a step is computed by itself, so a
+    box gets the same verdict whichever boxes share its steps.
     """
 
     def __init__(self, rctx, max_iter: int = 16):
         self.rctx = rctx
         self.max_iter = max_iter
-        # the per-box arrays (lo, hi, C, ...) come with the first `add`
+        # the per-box arrays (lo, hi, steps, ids) come with the first `add`
         self.active = np.empty(0, dtype=bool)
         self.added = 0
 
@@ -107,14 +112,10 @@ class Iteration:
     def add(self, lo: np.ndarray, hi: np.ndarray) -> None:
         """Enter boxes of shape (K, d); their ids count up from 0 in order of
         arrival.  Rows of finished boxes are dropped here."""
-        k, d = lo.shape
+        k = len(lo)
         new = {
             "lo": np.array(lo, dtype=float),
             "hi": np.array(hi, dtype=float),
-            "C": np.zeros((k, d, d)),
-            "c_widths": np.full((k, d), np.inf),
-            "has_c": np.zeros(k, dtype=bool),
-            "refined": np.zeros(k, dtype=bool),
             "steps": np.zeros(k, dtype=np.int64),
             "ids": np.arange(self.added, self.added + k),
         }
@@ -126,41 +127,31 @@ class Iteration:
         self.active = np.ones(len(self.lo), dtype=bool)
         self.added += k
 
-    def step(self, limit: int) -> tuple[np.ndarray, list[KrawczykOutcome]]:
-        """One operator application to the `limit` oldest boxes in flight;
-        returns the ids and outcomes of the boxes that finished."""
+    def step(self, limit: int):
+        """One operator application to the `limit` oldest boxes in flight.
+
+        Returns (ids, verdict, lo, hi) of the boxes that finished: verdict
+        indexes `TAGS`, and (lo, hi) is the certified box for a unique
+        zero, the box the last step left for a failure and the refuted box
+        for no zero."""
         rows = self.active.nonzero()[0][:limit]
         lo = self.lo[rows]  # copies: a row that fails keeps its current box
         hi = self.hi[rows]
-        widths = hi - lo
         Jlo, Jhi, ok = reduced_mod.jacobian_masked(self.rctx, lo, hi)
-        renew = ok & (~self.has_c[rows] | np.any(widths < 0.5 * self.c_widths[rows], axis=-1))
-        if renew.any():
-            at = renew.nonzero()[0]
-            Cnew, good = midpoint_inverse_batch(Jlo[at], Jhi[at])
-            got = rows[at[good]]
-            self.C[got] = Cnew[good]
-            self.has_c[got] = True
-            self.c_widths[got] = widths[at[good]]
-            ok[at[~good]] = False
-
-        unique = np.zeros(len(rows), dtype=bool)
-        nozero = unique.copy()
-        going = unique.copy()
-        refined = self.refined[rows]
-        steps = self.steps[rows] + 1
         live = ok.nonzero()[0]
+        C, good = midpoint_inverse_batch(Jlo[live], Jhi[live])
+        live, C = live[good], C[good]
+
+        verdict = np.full(len(rows), FAILED)
+        going = np.zeros(len(rows), dtype=bool)
+        steps = self.steps[rows] + 1
         if len(live):
-            C = self.C[rows[live]]
-            zlo, zhi = lo, hi  # read here, written only once the verdicts are in
-            if len(live) < len(rows):
-                zlo, zhi, Jlo, Jhi = lo[live], hi[live], Jlo[live], Jhi[live]
-            d = self.rctx.d
+            zlo, zhi, Jlo, Jhi = lo[live], hi[live], Jlo[live], Jhi[live]
             x0 = zlo + 0.5 * (zhi - zlo)
             Flo, Fhi, fok = reduced_mod.residual_masked(self.rctx, x0, x0)
             CFlo, CFhi = bxo.bmatvec_point(C, Flo, Fhi)
             CJlo, CJhi = bxo.bmatmul_point(C, Jlo, Jhi)
-            eye = np.broadcast_to(np.eye(d), (len(live), d, d))
+            eye = np.broadcast_to(np.eye(self.rctx.d), CJlo.shape)
             Mlo, Mhi = bxo.isub(eye, eye, CJlo, CJhi)
             dzlo, dzhi = bxo.isub(zlo, zhi, x0, x0)
             Klo, Khi = bxo.bmatvec_iv(Mlo, Mhi, dzlo, dzhi)
@@ -178,32 +169,16 @@ class Iteration:
             new_hi = np.minimum(Khi, zhi)
             old_w = zhi - zlo
             shrink = np.max(1.0 - (new_hi - new_lo) / np.where(old_w > 0, old_w, 1.0), axis=-1)
-            improved = np.any(new_lo > zlo, axis=-1) | np.any(new_hi < zhi, axis=-1)
             lo[live] = np.where(uni[:, None], Klo, np.where(on[:, None], new_lo, zlo))
             hi[live] = np.where(uni[:, None], Khi, np.where(on[:, None], new_hi, zhi))
-            refined[live] |= on & improved
-            unique[live] = uni
-            nozero[live] = noz
+            verdict[live] = np.select([uni, noz], [UNIQUE_ZERO, NO_ZERO], FAILED)
             # a box that shrank less than 5% everywhere, or took its last step, gives up
             going[live] = on & ~(shrink < 0.05) & (steps[live] < self.max_iter)
 
-        if going.any():
-            at = rows[going]
-            self.lo[at] = lo[going]
-            self.hi[at] = hi[going]
-            self.refined[at] = refined[going]
-            self.steps[at] = steps[going]
-        done = (~going).nonzero()[0]
+        at, done = rows[going], ~going
+        self.lo[at], self.hi[at], self.steps[at] = lo[going], hi[going], steps[going]
         self.active[rows[done]] = False
-        outcomes = []
-        for k, u, z in zip(done.tolist(), unique[done].tolist(), nozero[done].tolist()):
-            if u:
-                outcomes.append(KrawczykOutcome("unique_zero", lo[k], hi[k]))
-            elif z:
-                outcomes.append(KrawczykOutcome("no_zero"))
-            else:
-                outcomes.append(KrawczykOutcome("failed", lo[k], hi[k], refined=bool(refined[k])))
-        return self.ids[rows[done]], outcomes
+        return self.ids[rows[done]], verdict[done], lo[done], hi[done]
 
 
 def iterate_batch(rctx, ZLO, ZHI, max_iter: int = 16) -> list[KrawczykOutcome]:
@@ -213,9 +188,10 @@ def iterate_batch(rctx, ZLO, ZHI, max_iter: int = 16) -> list[KrawczykOutcome]:
     it.add(ZLO, ZHI)
     outcomes: list[KrawczykOutcome | None] = [None] * len(ZLO)
     while it:
-        ids, outs = it.step(len(ZLO))
-        for i, out in zip(ids.tolist(), outs):
-            outcomes[i] = out
+        ids, verdict, lo, hi = it.step(len(ZLO))
+        for i, v, blo, bhi in zip(ids.tolist(), verdict.tolist(), lo, hi):
+            box = (None, None) if v == NO_ZERO else (blo, bhi)
+            outcomes[i] = KrawczykOutcome(TAGS[v], *box)
     return outcomes
 
 
@@ -240,9 +216,9 @@ def contract(rctx, zlo, zhi):
         width = np.max(hi - lo)
         if width < CONTRACT_TOL:
             break
+        # a step keeps every zero, so it cannot rule out the certified one,
+        # and a failed step that left the box as it was fails the halving test
         out = iterate_arrays(rctx, lo, hi, max_iter=1)
-        if out.tag != "unique_zero" and not out.refined:
-            break
         lo, hi = out.lo, out.hi
         if np.max(hi - lo) > 0.5 * width:
             break

@@ -71,8 +71,14 @@ class SearchStats:
     def zeros_found(self) -> int:
         return self.usage.get("krawczyk.zeroInside", 0)
 
-    def bump(self, name: str, k: int = 1) -> None:
+    def bump(self, name: str, k: int) -> None:
         self.usage[name] = self.usage.get(name, 0) + k
+
+    def count(self, names, codes: np.ndarray) -> None:
+        """Bump names[c] once for each code c; codes past the names are not counted."""
+        for name, k in zip(names, np.bincount(codes, minlength=len(names)).tolist()):
+            if k:
+                self.bump(name, k)
 
     def merge(self, other: "SearchStats") -> None:
         self.calls += other.calls
@@ -153,6 +159,8 @@ def make_solution(Klo, Khi, masses: Masses) -> SolutionBox:
 
 # boxes per Krawczyk step
 BATCH = 128
+# the usage counter of each Krawczyk verdict, in the order of krawczyk.TAGS
+KRAWCZYK_NAMES = ("krawczyk.zeroInside", "krawczyk.noZeroInSet", "krawczyk.methodFailed")
 # boxes per battery call
 CHUNK = 512
 # boxes a worker processes before it hands the rest of its stack back
@@ -206,7 +214,7 @@ def _search_loop(rctx, bset, cfg: SearchConfig, masses: Masses, stack, budget=ma
     operator's temporaries stay those of `BATCH` boxes; boxes leave the
     stage with a verdict, and failed ones branch.  All boxes that branch in
     a turn are split in one `split` call and pushed, battery survivors in
-    chunk order then Krawczyk failures in outcome order, the right half then
+    chunk order then Krawczyk failures in verdict order, the right half then
     the left half of each.  A chunk takes at most `budget` minus the boxes
     processed so far; once `budget` boxes are processed it takes no more
     chunks, steps until the stage is empty and returns the unprocessed
@@ -233,10 +241,7 @@ def _search_loop(rctx, bset, cfg: SearchConfig, masses: Masses, stack, budget=ma
             status, out_lo, out_hi = exclusion.run_battery_batch(
                 rctx.m, bset, zlo, zhi, cfg.ordering
             )
-            counts = np.bincount(status, minlength=exclusion.SURVIVED).tolist()
-            for name, k in zip(exclusion.TEST_NAMES, counts):
-                if k:
-                    stats.bump(name, k)
+            stats.count(exclusion.TEST_NAMES, status)
             survived = status == exclusion.SURVIVED
             gate = survived & np.all(out_hi - out_lo <= cfg.bias, axis=-1)
             if np.any(gate):
@@ -245,20 +250,13 @@ def _search_loop(rctx, bset, cfg: SearchConfig, masses: Masses, stack, budget=ma
             if np.any(survived):
                 branching.append((out_lo[survived], out_hi[survived]))
         if kr:
-            failed = []
-            for outcome in kr.step(BATCH)[1]:
-                if outcome.tag == "unique_zero":
-                    stats.bump("krawczyk.zeroInside")
-                    solutions.append(make_solution(outcome.lo, outcome.hi, masses))
-                elif outcome.tag == "no_zero":
-                    stats.bump("krawczyk.noZeroInSet")
-                else:
-                    stats.bump("krawczyk.methodFailed")
-                    failed.append(outcome)
-            if failed:
-                branching.append(
-                    (np.array([o.lo for o in failed]), np.array([o.hi for o in failed]))
-                )
+            _, verdict, klo, khi = kr.step(BATCH)
+            stats.count(KRAWCZYK_NAMES, verdict)
+            for k in (verdict == krawczyk.UNIQUE_ZERO).nonzero()[0]:
+                solutions.append(make_solution(klo[k], khi[k], masses))
+            failed = verdict == krawczyk.FAILED
+            if np.any(failed):
+                branching.append((klo[failed], khi[failed]))
         if branching:
             blo, bhi = (np.concatenate(a) for a in zip(*branching))
             # narrower than eps everywhere and still without a verdict

@@ -40,7 +40,8 @@ class VerifyResult:
 
 
 def parse_candidates(text: str) -> list[list[tuple[float, float]]]:
-    """Point configurations: one body per line "x y", blank line separated."""
+    """Point configurations: one body per line "x y", blank line separated.
+    Raises ValueError on a line that is not two finite coordinates."""
     configs: list[list[tuple[float, float]]] = []
     current: list[tuple[float, float]] = []
     for raw in text.splitlines():
@@ -53,7 +54,10 @@ def parse_candidates(text: str) -> list[list[tuple[float, float]]]:
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise ValueError(f"candidate line needs two coordinates: {raw!r}")
-        current.append((float(parts[0]), float(parts[1])))
+        point = (float(parts[0]), float(parts[1]))
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"candidate coordinates must be finite: {raw!r}")
+        current.append(point)
     if current:
         configs.append(current)
     return configs

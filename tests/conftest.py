@@ -17,9 +17,7 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 class SearchRun:
-    def __init__(
-        self, cfg, masses, domain, solutions, stats, undecided, records, seconds, cpu_seconds
-    ):
+    def __init__(self, cfg, masses, domain, solutions, stats, undecided, records, seconds):
         self.cfg = cfg
         self.masses = masses
         self.domain = domain
@@ -28,8 +26,6 @@ class SearchRun:
         self.undecided = undecided
         self.records = records
         self.seconds = seconds
-        # the parent's CPU time only: a parallel run's workers are not counted
-        self.cpu_seconds = cpu_seconds
 
 
 def _run(n: int, **kwargs) -> SearchRun:
@@ -38,13 +34,11 @@ def _run(n: int, **kwargs) -> SearchRun:
     cfg = SearchConfig(n=n, **kwargs)
     masses = Masses.equal(n)
     domain = initial_domain(cfg)
-    t0, c0 = time.perf_counter(), time.process_time()
+    t0 = time.perf_counter()
     solutions, stats, undecided = search(domain, cfg, masses)
-    seconds, cpu_seconds = time.perf_counter() - t0, time.process_time() - c0
+    seconds = time.perf_counter() - t0
     records = classify_solutions(solutions, masses)
-    return SearchRun(
-        cfg, masses, domain, solutions, stats, undecided, records, seconds, cpu_seconds
-    )
+    return SearchRun(cfg, masses, domain, solutions, stats, undecided, records, seconds)
 
 
 @pytest.fixture(scope="session")
@@ -60,11 +54,6 @@ def run_n4() -> SearchRun:
 @pytest.fixture(scope="session")
 def run_n4_increasing() -> SearchRun:
     return _run(4, ordering="increasing")
-
-
-@pytest.fixture(scope="session")
-def run_n4_coarse_bias() -> SearchRun:
-    return _run(4, bias=1e-1)
 
 
 @pytest.fixture(scope="session")

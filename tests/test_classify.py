@@ -132,6 +132,51 @@ class TestSymmetry:
                 assert np.hypot(rxx * px + rxy * py - tx, rxy * px - rxx * py - ty) < 1e-6, k
         assert lines == {5: 5, 6: 9}[n]
 
+    def test_line_is_not_the_ox_reflection(self, run_n4):
+        """The pairing decides which reflection certifies: sigma(n-2) = n-2
+        gives the x axis, sigma(n-2) = i the bisector of bodies n-2 and i.
+        So every OX permutation fixes body n-2, and every line verdict is
+        another reflection, whose certified axis_y excludes 0.  A line
+        question that accepts sigma(n-2) = n-2 reports the OX reflection
+        again for n = 4 class 2 and n = 7 candidates 6, 9 and 11."""
+        from conftest import load_listed
+        from ccenum.verify import verify_candidate
+
+        m7 = Masses.equal(7)
+        syms = [(4, r.symmetry) for r in run_n4.records] + [
+            (7, verify_candidate(k, pts, m7).symmetry) for k, pts in enumerate(load_listed(7))
+        ]
+        lines = 0
+        for n, sym in syms:
+            if sym.ox_permutation is not None:
+                assert sym.ox_permutation[n - 2] == n - 2
+            if sym.line is not None:
+                lines += 1
+                assert sym.line.permutation[n - 2] != n - 2
+                assert not sym.line.axis_y.contains(0.0), (n, sym.line)
+        assert lines >= 3
+
+    def test_each_question_tries_only_its_reflection(self, run_n4, monkeypatch):
+        """Every pairing the OX question may try fixes body n-2, and every one
+        the question for body i may try sends body n-2 to body i.  All the
+        pairings a question offers are checked, not only those it reaches."""
+        offered = []
+        pairings = classify.candidate_pairings
+
+        def spy(image, orig, target=None):
+            every = list(pairings(image, orig, target))
+            offered.append((target, every))
+            yield from every
+
+        monkeypatch.setattr(classify, "candidate_pairings", spy)
+        for rec in run_n4.records:
+            classify.symmetry_check(rec.representative, run_n4.masses)
+        targets = {t for t, every in offered if every}
+        assert 2 in targets and len(targets) > 1
+        for target, every in offered:
+            for sigma in every:
+                assert sigma[2] == target, (target, sigma)
+
     def test_asymmetric_candidate(self):
         from conftest import load_listed
         from ccenum.verify import verify_candidate

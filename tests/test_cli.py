@@ -182,6 +182,9 @@ class TestVerifyCommand:
             ("0", "-0.2886751346 -0.5\n0.5773502692 0\n-0.2886751346 0.5\n", "delta"),
             ("-1e-6", "-0.2886751346 -0.5\n0.5773502692 0\n-0.2886751346 0.5\n", "delta"),
             ("1e-6", "-0.2886751346 -0.5\n0.5773502692\n", "two coordinates"),
+            # a non-finite coordinate is malformed, not a candidate that fails
+            ("1e-6", "-0.2886751346 -0.5\nnan 0\n-0.2886751346 0.5\n", "finite"),
+            ("1e-6", "-0.2886751346 -0.5\n0.5773502692 0\n-0.2886751346 inf\n", "finite"),
             # no candidate proves nothing, so it is no "0 / 0 certified" with code 0
             ("1e-6", "", "no candidate"),
             ("0", "# x y per line\n\n# none listed\n", "no candidate"),

@@ -20,6 +20,11 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_candidates("1.0\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_coordinate(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            parse_candidates(f"0 0\n0.5 {value}\n1 0\n")
+
 
 class TestGauge:
     def test_furthest_on_axis(self):
