@@ -127,6 +127,7 @@ def check_apriori_batch(
     out |= np.all(rhi < bset.dist_one, axis=-1)
     # some pair provably below the collision floor for the box's own radius
     R_sq_hi = np.minimum(np.max(q2hi, axis=-1), bset.R_max_sq)
-    floor = np.nextafter(bset.mm_over_M_lo / np.maximum(R_sq_hi[..., None], 1e-300), -np.inf)
+    R_sq = np.maximum(R_sq_hi[..., None], 1e-300)
+    floor, _ = bxo.idiv_pos(bset.mm_over_M_lo, bset.mm_over_M_lo, R_sq, R_sq)
     out |= np.any(rhi < floor, axis=-1)
     return out

@@ -21,12 +21,9 @@ from . import boxops as bxo
 from . import bounds as bounds_mod
 from . import model
 from . import reduced as reduced_mod
-from .interval import _add_down
 
 TEST_NAMES = ("checkAprioriBounds", "checkUEqI", "clusterTest", "distanceTest", "checkZero")
 SURVIVED = len(TEST_NAMES)
-
-_U = 2.0**-52
 
 
 class _BatchFrame:
@@ -48,6 +45,8 @@ class _BatchFrame:
         "rhi",
         "q2lo",
         "q2hi",
+        "mq2lo",
+        "mq2hi",
         "pair_ok",
         "_cluster_pairs",
     )
@@ -62,6 +61,8 @@ class _BatchFrame:
         self.q2lo, self.q2hi = bxo.iadd(
             *bxo.isqr(self.bxlo, self.bxhi), *bxo.isqr(self.bylo, self.byhi)
         )
+        # m_i |q_i|^2, the terms of the moment of inertia I
+        self.mq2lo, self.mq2hi = bxo.imul(ctx.mlo, ctx.mhi, self.q2lo, self.q2hi)
         self.pair_ok = self.r2lo > 0.0
         self._cluster_pairs = None
 
@@ -110,29 +111,30 @@ class _BatchFrame:
 
 def _u_lo(ctx, rhi: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """inf U over the pairs set in the mask `pairs` (..., P), from sup r; valid
-    when a distance may vanish, as that only grows U.  Masked-out terms are
-    exact zeros, as in `boxops.isum`; a sum of k terms is padded by 1 - k 2^-52."""
-    with np.errstate(divide="ignore"):
-        terms = np.where(pairs, np.nextafter(ctx.mmlo / rhi, -np.inf), 0.0)
-    k = np.count_nonzero(pairs, axis=-1)
-    return np.maximum(np.nextafter(np.sum(terms, axis=-1) * (1.0 - k * _U), -np.inf), 0.0)
+    when a distance may vanish, as that only grows U.  A zero or tiny sup r
+    gives a term of the largest float; a sum past it comes out NaN or -inf,
+    which fires no test."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo, _ = bxo.idiv_pos(ctx.mmlo, ctx.mmhi, rhi, rhi)
+        return bxo.isum(lo, lo, axis=-1, where=pairs)[0]
+
+
+def _u_hi(ctx, rlo: np.ndarray, rhi: np.ndarray) -> np.ndarray:
+    """sup U over all pairs of collision-free boxes (rlo > 0); +inf when a
+    term overflows."""
+    with np.errstate(over="ignore"):
+        return bxo.isum(*bxo.idiv_pos(ctx.mmlo, ctx.mmhi, rlo, rhi), axis=-1)[1]
 
 
 def u_eq_i_excluded_batch(ctx, fr: _BatchFrame) -> np.ndarray:
     """Disjoint U and I enclosures contradict U = I.  Collision tolerant:
     inf U stays valid when a distance may vanish (the potential only
     grows), and sup U is used only on collision-free boxes."""
-    k = ctx.P
-    U_lo = _u_lo(ctx, fr.rhi, np.ones(k, dtype=bool))
-    milo, mihi = bxo.imul(ctx.mlo, ctx.mhi, fr.q2lo, fr.q2hi)
-    I_lo, I_hi = bxo.isum(milo, mihi, axis=-1)
-    fired = I_hi < U_lo
-    no_collision = np.all(fr.rlo > 0.0, axis=-1)
-    if np.any(no_collision):
-        safe_rlo = np.where(fr.rlo > 0.0, fr.rlo, 1.0)
-        terms_hi = np.nextafter(ctx.mmhi / safe_rlo, np.inf)
-        U_hi = np.nextafter(np.sum(terms_hi, axis=-1) * (1.0 + k * _U), np.inf)
-        fired |= no_collision & (I_lo > U_hi)
+    I_lo, I_hi = bxo.isum(fr.mq2lo, fr.mq2hi, axis=-1)
+    fired = I_hi < _u_lo(ctx, fr.rhi, np.ones(ctx.P, dtype=bool))
+    apart = np.flatnonzero(np.all(fr.pair_ok, axis=-1))
+    if len(apart):
+        fired[apart] |= I_lo[apart] > _u_hi(ctx, fr.rlo[apart], fr.rhi[apart])
     return fired
 
 
@@ -155,8 +157,7 @@ def distance_order_excluded_batch(fr: _BatchFrame, ordering: str) -> np.ndarray:
         out |= (ylo[..., 1] > 0.0) | (yhi[..., 1] < -hi)
         out |= np.any(yhi < ylo[..., 1:2], axis=-1) | np.any(ylo > hi, axis=-1)
     # furthest-body condition |q_i| <= |x_{n-2}|
-    apin = np.maximum(np.abs(xlo[..., pin]), np.abs(xhi[..., pin]))
-    x2pin_hi = np.nextafter(apin * apin, np.inf)
+    _, x2pin_hi = bxo.isqr(xlo[..., pin], xhi[..., pin])
     out |= np.any(fr.q2lo > x2pin_hi[..., None], axis=-1)
     # index ordering of the middle bodies, ending at the derived body
     chain = list(range(2, n - 2)) + [n - 1]
@@ -265,20 +266,13 @@ def _cluster_fui_excluded(ctx, fr: _BatchFrame, members: frozenset[int]) -> bool
     if np.any(intra & (fr.rhi <= 0.0)):
         return True  # exact collision of two point bodies cannot be a CC
     # inf U_C stays valid under intra-cluster collisions: zero distance only grows it
-    k = int(np.count_nonzero(intra))
-    U_lo = 0.0
-    if k:
-        with np.errstate(divide="ignore"):
-            terms_lo = np.nextafter(ctx.mmlo / fr.rhi, -np.inf)
-        U_lo = float(np.nextafter(np.sum(terms_lo, where=intra) * (1.0 - k * _U), -np.inf))
-        U_lo = max(U_lo, 0.0)
-    milo, mihi = bxo.imul(ctx.mlo, ctx.mhi, fr.q2lo, fr.q2hi)
-    _, I_hi = map(float, bxo.isum(milo, mihi, axis=-1, where=mask))
+    U_lo = _u_lo(ctx, fr.rhi, intra)
+    _, I_hi = bxo.isum(fr.mq2lo, fr.mq2hi, axis=-1, where=mask)
     _, _, hi_, hj_ = fr.cluster_pair_terms(ctx)
     t_lo = np.where(in_i, hi_[0], hj_[0])
     t_hi = np.where(in_i, hi_[1], hj_[1])
-    F_lo, _ = map(float, bxo.isum(t_lo, t_hi, axis=-1, where=cross))
-    return I_hi < _add_down(U_lo, F_lo)
+    F_lo, _ = bxo.isum(t_lo, t_hi, axis=-1, where=cross)
+    return bool(I_hi < bxo.add_down(U_lo, F_lo))
 
 
 def cluster_test_excluded_single(ctx, fr: _BatchFrame, max_diam: float) -> bool:
@@ -357,8 +351,7 @@ def cluster_groups_excluded(ctx, fr: _BatchFrame, box: np.ndarray, mask: np.ndar
     # moment/potential test: sup I_C < inf U_C + inf F_C
     collided = np.any(intra & (fr.rhi[box] <= 0.0), axis=-1)
     U_lo = _u_lo(ctx, fr.rhi[box], intra)
-    milo, mihi = bxo.imul(ctx.mlo, ctx.mhi, fr.q2lo[box], fr.q2hi[box])
-    _, I_hi = bxo.isum(milo, mihi, axis=-1, where=mask)
+    _, I_hi = bxo.isum(fr.mq2lo[box], fr.mq2hi[box], axis=-1, where=mask)
     F_lo, _ = bxo.isum(
         np.where(in_i, hi_[0], hj_[0]), np.where(in_i, hi_[1], hj_[1]), axis=-1, where=cross
     )

@@ -80,12 +80,12 @@ def _r_pow(r2lo, r2hi, b):
 
 
 def _num_pow(cxlo, cxhi, a):
-    """Numerator power x^a; a may be a per-element array with values in {1, 2}."""
-    if isinstance(a, np.ndarray):
-        sqlo, sqhi = bx.isqr(cxlo, cxhi)
-        sel = a == 1
-        return np.where(sel, cxlo, sqlo), np.where(sel, cxhi, sqhi)
-    return _kernel_pow(cxlo, cxhi, a)
+    """Numerator power x^a for a in {1, 2}; a may be a per-element array."""
+    one = np.equal(a, 1)
+    if not np.all(one | np.equal(a, 2)):
+        raise ValueError("the numerator exponent must be 1 or 2")
+    sqlo, sqhi = bx.isqr(cxlo, cxhi)
+    return np.where(one, cxlo, sqlo), np.where(one, cxhi, sqhi)
 
 
 def _kernel_at(cxlo, cxhi, cylo, cyhi, a, b):
@@ -313,13 +313,3 @@ def _naive(dxlo, dxhi, dylo, dyhi, a, b):
     rblo, rbhi = _r_pow(r2lo, r2hi, b)
     return bx.idiv_pos(tlo, thi, rblo, rbhi)
 
-
-def _kernel_pow(xlo, xhi, a: int):
-    if a == 1:
-        return xlo, xhi
-    if a == 2:
-        return bx.isqr(xlo, xhi)
-    tlo, thi = xlo, xhi
-    for _ in range(a - 1):
-        tlo, thi = bx.imul(tlo, thi, xlo, xhi)
-    return tlo, thi

@@ -34,6 +34,8 @@ GROWTH_MAX = 1e12
 # once every width is below CONTRACT_TOL, or after CONTRACT_STEPS steps
 CONTRACT_TOL = 1e-13
 CONTRACT_STEPS = 40
+# a box still undecided after MAX_STEPS operator steps gives up
+MAX_STEPS = 16
 
 
 # the verdicts of a step, each an index into TAGS
@@ -94,15 +96,19 @@ class Iteration:
     zeros out (K disjoint), or give up, keeping the last intersection; a
     box gives up when a step finds a possible collision, a bad midpoint
     inverse, no shrink at all or less than 5% in every coordinate, or after
-    `max_iter` steps.  Every step inverts the midpoint Jacobian of the box
-    it is applied to, and every row of a step is computed by itself, so a
-    box gets the same verdict whichever boxes share its steps.
+    `max_iter` (default `MAX_STEPS`) steps.  Every step inverts the
+    midpoint Jacobian of the box it is applied to, and every row of a step
+    is computed by itself, so a box gets the same verdict whichever boxes
+    share its steps.
     """
 
-    def __init__(self, rctx, max_iter: int = 16):
+    def __init__(self, rctx, max_iter: int = MAX_STEPS):
         self.rctx = rctx
         self.max_iter = max_iter
-        # the per-box arrays (lo, hi, steps, ids) come with the first `add`
+        self.lo = np.empty((0, rctx.d))
+        self.hi = np.empty((0, rctx.d))
+        self.steps = np.empty(0, dtype=np.int64)
+        self.ids = np.empty(0, dtype=np.int64)
         self.active = np.empty(0, dtype=bool)
         self.added = 0
 
@@ -112,18 +118,11 @@ class Iteration:
     def add(self, lo: np.ndarray, hi: np.ndarray) -> None:
         """Enter boxes of shape (K, d); their ids count up from 0 in order of
         arrival.  Rows of finished boxes are dropped here."""
-        k = len(lo)
-        new = {
-            "lo": np.array(lo, dtype=float),
-            "hi": np.array(hi, dtype=float),
-            "steps": np.zeros(k, dtype=np.int64),
-            "ids": np.arange(self.added, self.added + k),
-        }
-        if self.active.any():
-            keep = self.active
-            new = {name: np.concatenate([getattr(self, name)[keep], v]) for name, v in new.items()}
-        for name, v in new.items():
-            setattr(self, name, v)
+        k, keep = len(lo), self.active
+        self.lo = np.concatenate([self.lo[keep], lo])
+        self.hi = np.concatenate([self.hi[keep], hi])
+        self.steps = np.concatenate([self.steps[keep], np.zeros(k, dtype=np.int64)])
+        self.ids = np.concatenate([self.ids[keep], np.arange(self.added, self.added + k)])
         self.active = np.ones(len(self.lo), dtype=bool)
         self.added += k
 
@@ -181,7 +180,7 @@ class Iteration:
         return self.ids[rows[done]], verdict[done], lo[done], hi[done]
 
 
-def iterate_batch(rctx, ZLO, ZHI, max_iter: int = 16) -> list[KrawczykOutcome]:
+def iterate_batch(rctx, ZLO, ZHI, max_iter: int = MAX_STEPS) -> list[KrawczykOutcome]:
     """Operator iteration over a batch of boxes, shape (B, d), until every
     box has an outcome; see `Iteration`."""
     it = Iteration(rctx, max_iter)
@@ -195,7 +194,7 @@ def iterate_batch(rctx, ZLO, ZHI, max_iter: int = 16) -> list[KrawczykOutcome]:
     return outcomes
 
 
-def iterate_arrays(rctx, zlo, zhi, max_iter: int = 16) -> KrawczykOutcome:
+def iterate_arrays(rctx, zlo, zhi, max_iter: int = MAX_STEPS) -> KrawczykOutcome:
     """Operator iteration on one box; every failure mode is encoded in the outcome."""
     return iterate_batch(rctx, zlo[None, :], zhi[None, :], max_iter=max_iter)[0]
 

@@ -1,15 +1,23 @@
 """Exclusion battery: worked examples per test, partition properties, and
 the master soundness property (no test excludes a box around a true
 configuration).  Every example runs the batched function the search
-calls, on a batch of one box."""
+calls, on a batch of one box.  An `mpmath.iv` oracle checks the
+battery's enclosures on boxes the n = 4 and n = 5 searches visit."""
 
+import warnings
+from functools import lru_cache
+
+import mpmath
 import numpy as np
 import pytest
 
+from ccenum import boxops as bxo
 from ccenum import exclusion, model
 from ccenum import reduced as reduced_mod
+from ccenum import search as search_mod
 from ccenum.bounds import check_apriori_batch, compute_bounds
 from ccenum.model import Masses
+from ccenum.search import SearchConfig, initial_domain
 from conftest import load_listed
 from oracles import polish_listed
 
@@ -317,6 +325,7 @@ class TestClusterBatch:
         assert out.tolist() == _single(ctx, fr, md)
         assert not out[2] and not out[3]
 
+    @pytest.mark.filterwarnings("error")
     def test_exact_collision_inside_excludes(self):
         ctx, fr, md = _frame(4, [self.PAIR])
         p01 = 0  # pairs are ordered (0, 1), (0, 2), ...
@@ -379,3 +388,180 @@ class TestClusterBatch:
         _, stats, _ = search(run_n4.domain, run_n4.cfg, run_n4.masses)
         assert stats == run_n4.stats
         assert 0 < sum(seen) <= stats.usage["clusterTest"]
+
+
+# ---------------------------------------------------------------------------
+# the battery's enclosures against mpmath.iv at 50 digits
+
+
+@pytest.fixture
+def iv50():
+    saved = mpmath.iv.dps
+    mpmath.iv.dps = 50
+    try:
+        yield mpmath.iv
+    finally:
+        mpmath.iv.dps = saved
+
+
+@lru_cache(maxsize=None)
+def _visited(n, budget=10000):
+    """(lo, hi) of the first `budget` boxes the n-body search hands the battery."""
+    seen = []
+    battery = exclusion.run_battery_batch
+
+    def spy(ctx, bset, zlo, zhi, ordering):
+        seen.append((zlo.copy(), zhi.copy()))
+        return battery(ctx, bset, zlo, zhi, ordering)
+
+    cfg = SearchConfig(n=n)
+    root = tuple(a[None] for a in initial_domain(cfg).arrays())
+    exclusion.run_battery_batch = spy
+    try:
+        search_mod._subtree_task((cfg, Masses.equal(n), root, budget))
+    finally:
+        exclusion.run_battery_batch = battery
+    return tuple(np.concatenate(c) for c in zip(*seen))
+
+
+def _search_frame(n, B=60):
+    """Frame of B seeded boxes out of those the n-body search visits first,
+    half of them collision free; also their free-body ranges and widest edges."""
+    lo, hi = _visited(n)
+    ctx = model.nbody_ctx(Masses.equal(n))
+    all_free = exclusion._BatchFrame(ctx, *reduced_mod.box_to_free_arrays(lo, hi))
+    ok = np.all(all_free.pair_ok, axis=-1)
+    rng = np.random.default_rng(100 + n)
+    pick = np.concatenate([rng.choice(np.flatnonzero(s), B // 2, replace=False) for s in (ok, ~ok)])
+    lo, hi = lo[pick], hi[pick]
+    free = reduced_mod.box_to_free_arrays(lo, hi)
+    return ctx, free, exclusion._BatchFrame(ctx, *free), np.max(hi - lo, axis=-1)
+
+
+def _mp_box(iv, ctx, free, b):
+    """Enclosures of r per pair and of m_i |q_i|^2 per body over box b, for
+    equal masses (the derived body is minus the sum of the free ones).  r
+    takes every coordinate once, so it is the exact range up to 50 digits."""
+    xlo, xhi, ylo, yhi = (c[b] for c in free)
+    X = [iv.mpf([lo, hi]) for lo, hi in zip(xlo, xhi)]
+    Y = [iv.mpf([lo, hi]) for lo, hi in zip(ylo, yhi)]
+    n = len(X) + 1
+
+    def disp(C, i, j):
+        if j < n - 1:
+            return C[i] - C[j]
+        return 2 * C[i] + sum(C[k] for k in range(n - 1) if k != i)
+
+    r = [iv.sqrt(disp(X, i, j) ** 2 + disp(Y, i, j) ** 2) for i, j in zip(ctx.ii, ctx.jj)]
+    X, Y = X + [-sum(X)], Y + [-sum(Y)]
+    return r, [(X[i] ** 2 + Y[i] ** 2) / n for i in range(n)]
+
+
+def _exact_sum(iv, num, den, mask):
+    """sum num/den over the mask, exact at 50 digits; +inf past a zero den."""
+    if np.any(den[mask] == 0.0):
+        return iv.mpf("inf")
+    return sum((iv.mpf(a) / iv.mpf(d) for a, d in zip(num[mask], den[mask])), iv.mpf(0))
+
+
+def _nudged(v, ulps=3):
+    """The floats from `ulps` steps below v to `ulps` steps above it."""
+    out = [v]
+    for _ in range(ulps):
+        out = [np.nextafter(out[0], -np.inf)] + out + [np.nextafter(out[-1], np.inf)]
+    return np.array(out)
+
+
+class TestMpmathOracle:
+    """Each enclosure the battery compares is checked at its own float
+    inputs against the exact value (inf U against sum m_i m_j / sup r, sup
+    U against sum m_i m_j / inf r), and those inputs against the exact
+    ranges over the box: a missing outward step shows even where an
+    earlier step's slack would hide it.  A result of NaN or an infinity
+    must lie on the side that fires no test."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_potential_and_inertia(self, iv50, n):
+        ctx, free, fr, md = _search_frame(n)
+        assert np.all(ctx.mmlo <= iv50.mpf(1) / n**2) and np.all(ctx.mmhi >= iv50.mpf(1) / n**2)
+        box, groups = exclusion.cluster_groups(ctx, fr, md)
+        free_rows = np.flatnonzero(np.all(fr.pair_ok, axis=-1))
+        U_hi = dict(zip(free_rows, exclusion._u_hi(ctx, fr.rlo[free_rows], fr.rhi[free_rows])))
+        colliding = 0
+        for b in range(len(md)):
+            r, mq2 = _mp_box(iv50, ctx, free, b)
+            assert all(fr.rlo[b, p] <= r[p].a and r[p].b <= fr.rhi[b, p] for p in range(ctx.P))
+            members = np.vstack([np.ones(n, dtype=bool), groups[box == b]])
+            pairs = members[:, ctx.ii] & members[:, ctx.jj]
+            colliding += np.count_nonzero(pairs & ~fr.pair_ok[b])
+            U_lo = exclusion._u_lo(ctx, fr.rhi[[b] * len(pairs)], pairs)
+            for u, mask in zip(U_lo, pairs):
+                assert u <= _exact_sum(iv50, ctx.mmlo, fr.rhi[b], mask).a, (n, b, mask)
+            if b in U_hi:
+                assert U_hi[b] >= _exact_sum(iv50, ctx.mmhi, fr.rlo[b], np.ones(ctx.P, bool)).b
+            rows = [b] * len(members)
+            I_lo, I_hi = bxo.isum(fr.mq2lo[rows], fr.mq2hi[rows], axis=-1, where=members)
+            for lo, hi, mask in zip(I_lo, I_hi, members):
+                exact = sum((mq2[i] for i in np.flatnonzero(mask)), iv50.mpf(0))
+                assert lo <= exact.a and exact.b <= hi, (n, b, mask)
+        assert colliding and len(groups) and 0 < len(U_hi) < len(md)
+
+    def test_overflowing_terms_fire_nothing(self, iv50):
+        """Distances of 0 and below 1e-308: the sums overflow, and inf U
+        comes out below the exact value or NaN, sup U out +inf; no warning."""
+        ctx, _, fr, _ = _search_frame(4, B=6)
+        rhi = fr.rhi.copy()
+        rhi[0, 0] = 0.0
+        rhi[1, :2] = 0.0
+        rhi[2, :2] = 1e-310
+        rhi[3, 3] = 5e-324
+        rlo = np.where(fr.pair_ok, fr.rlo, 1.0)
+        rlo[4, :2] = 1e-310
+        rlo[5, 3] = 5e-324
+        every = np.ones(ctx.P, dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            U_lo = exclusion._u_lo(ctx, rhi, every)
+            U_hi = exclusion._u_hi(ctx, rlo, np.maximum(rlo, fr.rhi))
+        for b in range(4):
+            exact = _exact_sum(iv50, ctx.mmlo, rhi[b], every)
+            assert np.isnan(U_lo[b]) or U_lo[b] <= exact.a, b
+        assert U_lo[0] > 1e307 and np.isnan(U_lo[1]) and np.isnan(U_lo[2])
+        assert np.all(U_hi[4:] == np.inf)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_apriori_collision_floor(self, iv50, n):
+        """A pair distance fires the collision floor only below the exact
+        m_i m_j / (M R^2), R^2 the box's sup max |q_i|^2: distances a few
+        ulps either side of it, every other a priori test kept silent."""
+        ctx, _, fr, _ = _search_frame(n)
+        bset = compute_bounds(n, Masses.equal(n))
+        fired_any = False
+        for q2hi in fr.q2hi[fr.q2hi.max(axis=-1) >= bset.R_min_sq]:
+            R_sq = min(q2hi.max(), bset.R_max_sq)
+            exact = iv50.mpf(bset.mm_over_M_lo[1]) / iv50.mpf(R_sq)
+            t = _nudged(float(exact.a))
+            rhi = np.ones((len(t), ctx.P))
+            rhi[:, 1] = t
+            q2 = np.tile(q2hi, (len(t), 1))
+            fired = check_apriori_batch(bset, np.zeros_like(q2), q2, rhi)
+            assert all(v < exact.a for v in t[fired]) and not fired.all()
+            fired_any |= fired.any()
+        assert fired_any
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_furthest_body_bound(self, iv50, n):
+        """inf |q_0|^2 past sup x_{n-2}^2 fires the body-order test only
+        above the exact square, on boxes where nothing else fires."""
+        ctx, _, fr, _ = _search_frame(n)
+        ordering = SearchConfig(n=n).ordering
+        quiet = np.flatnonzero(~exclusion.distance_order_excluded_batch(fr, ordering))
+        assert len(quiet)
+        pin = n - 2
+        for b in quiet:
+            exact = iv50.mpf([fr.bxlo[b, pin], fr.bxhi[b, pin]]) ** 2
+            t = _nudged(float(exact.b))
+            sub = fr.take(np.full(len(t), b))
+            sub.q2lo[:, 0] = t
+            fired = exclusion.distance_order_excluded_batch(sub, ordering)
+            assert all(v > exact.b for v in t[fired]) and fired.any(), (n, b)

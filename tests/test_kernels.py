@@ -53,6 +53,21 @@ class TestExamples:
         with pytest.raises(SingularBox):
             bound_one(-1, 1, -1, 1, 1, 3)
 
+    @pytest.mark.parametrize("a", [0, 3])
+    def test_numerator_exponent_outside_one_two_rejected(self, a):
+        """Only x and x^2 are numerators; any other exponent raises, as a
+        scalar or per row, on a thin (point) row and on a wide one, rather
+        than bound another kernel."""
+        with pytest.raises(ValueError):
+            bound_one(2, 2, 1, 1, a, 3)
+        with pytest.raises(ValueError):
+            bound_one(1, 2, 1, 2, a, 5)
+        box = [np.array([v, v]) for v in (1.0, 2.0, 1.0, 2.0)]
+        s = _slope(1, 3)
+        slopes = (np.full(2, s.lo), np.full(2, s.hi))
+        with pytest.raises(ValueError):
+            bound_kernel_batch(*box, np.array([1, a]), np.array([3, 3]), *slopes)
+
     def test_axis_swap(self):
         """The "Y" kernel of (dx, dy) is the "X" kernel of (dy, dx)."""
         box = [np.array([v]) for v in (1.0, 2.0, 3.0, 4.0)]

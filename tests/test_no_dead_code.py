@@ -6,7 +6,9 @@ Strings and docstrings do not count, nor does module-level code such as
 `if __name__ == ...`.  The few names allowed without a caller must
 really have none.  Every attribute an `__init__` sets on `self` is read
 as an attribute somewhere else in `src/ccenum`, and every parameter of a
-function there is read by its body."""
+function there is read by its body.  Outward rounding lives in `boxops`
+and `interval` only: no other module calls `nextafter` or writes a unit
+roundoff."""
 
 import ast
 from pathlib import Path
@@ -133,3 +135,38 @@ def test_every_parameter_is_read():
                 if p.arg not in ("self", "cls") and p.arg not in read
             ]
     assert not unread, f"parameters never read: {unread}"
+
+
+# the modules that round outward; every other module rounds through them
+ROUNDING_MODULES = {"boxops", "interval"}
+UNIT_ROUNDOFFS = {2.0**-52, 2.0**-53}
+
+
+def _number(node):
+    """The value of a literal number, possibly negated or raised to a
+    literal power (`2.0**-52`), else None."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        v = _number(node.operand)
+        return None if v is None else -v
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        base, exp = _number(node.left), _number(node.right)
+        return None if base is None or exp is None else base**exp
+    return None
+
+
+def test_outward_rounding_only_in_boxops_and_interval():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ROUNDING_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name == "nextafter":
+                    found.append(f"{path.stem}:{node.lineno} nextafter")
+            elif _number(node) in UNIT_ROUNDOFFS:
+                found.append(f"{path.stem}:{node.lineno} unit roundoff")
+    assert not found, f"hand rounding outside {sorted(ROUNDING_MODULES)}: {found}"
