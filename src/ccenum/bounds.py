@@ -1,10 +1,11 @@
 """A priori bounds restoring compactness of the search domain.
 
-For a normalized configuration (force constant 1, center of mass at the
-origin, total mass 1) every central configuration satisfies:
+For a normalized configuration of n equal masses m = 1/n (force constant
+1, center of mass at the origin, total mass M = 1) every central
+configuration satisfies:
 
-* r_ij > m_i m_j / (M R^2) whenever all |q_i| <= R,
-* max_i |q_i| >= 1/2, and >= cbrt((n-1) M / (4 n)) for equal masses,
+* r_ij > m^2 / (M R^2) whenever all |q_i| <= R,
+* max_i |q_i| >= cbrt((n-1) M / (4 n)), which is above 1/2 for n >= 3,
 * max_i |q_i| <= n-1, and <= (2^(1/3) + 2^(-2/3)) (n-2)^(2/3) for n >= 4,
 * at least one pair has r_ij >= 1.
 
@@ -47,7 +48,7 @@ def icbrt(x: Interval) -> Interval:
 
 @dataclass(frozen=True)
 class BoundSet:
-    """Precomputed bound data for one (n, masses) problem."""
+    """Precomputed bound data for the n-body problem."""
 
     n: int
     R_max: float  # upper bound on max |q_i|, rounded up
@@ -55,21 +56,20 @@ class BoundSet:
     R_min: float  # lower bound on max |q_i|, rounded down
     R_min_sq: float
     dist_one: float  # some pair must reach this separation (M = 1)
-    mm_over_M_lo: np.ndarray  # (P,) lower bounds of m_i m_j / M, pair order of the model ctx
+    mm_over_M_lo: np.ndarray  # (P,) lower bounds of m^2 / M, pair order of the model ctx
     R_max_interval: Interval  # kept for the directional-rounding check
 
 
 def compute_bounds(n: int, masses: Masses) -> BoundSet:
-    """The bound set of the problem; one shared, read-only object per (n, masses)."""
+    """The bound set of the problem; one shared, read-only object per n."""
     if masses.n != n:
         raise ValueError("mass count does not match n")
-    return _bounds_cached(n, masses.key())
+    return _bounds_cached(n)
 
 
 @lru_cache(maxsize=32)
-def _bounds_cached(n: int, mass_key) -> BoundSet:
-    masses = Masses([Interval(lo, hi) for lo, hi in mass_key])
-    M = masses.total
+def _bounds_cached(n: int) -> BoundSet:
+    M = Masses.equal(n).total
     # R_max: n-1 for n <= 4, else min(n-1, (2^(1/3)+2^(-2/3))(n-2)^(2/3))
     if n <= 4:
         R_max_iv = Interval(float(n - 1))
@@ -82,19 +82,11 @@ def _bounds_cached(n: int, mass_key) -> BoundSet:
     R_max = R_max_iv.hi
     R_max_sq = (R_max_iv.sqr()).hi
 
-    # R_min: 1/2 always; equal masses sharpen to cbrt((n-1) M / (4 n))
-    R_min_iv = Interval(0.5)
-    if masses.equal_mass:
-        em = icbrt(Interval(float(n - 1)) * M / Interval(float(4 * n)))
-        if em.lo > R_min_iv.lo:
-            R_min_iv = em
-    R_min = R_min_iv.lo
+    R_min = icbrt(Interval(float(n - 1)) * M / Interval(float(4 * n))).lo
     R_min_sq = Interval(R_min).sqr().lo
 
-    ctx = model.nbody_ctx(masses)
-    mm_over_M_lo, _ = bxo.idiv_pos(
-        ctx.mmlo, ctx.mmhi, np.full(ctx.P, M.lo), np.full(ctx.P, M.hi)
-    )
+    ctx = model._ctx_cached(n)
+    mm_over_M_lo, _ = bxo.idiv_pos(ctx.mmlo, ctx.mmhi, M.lo, M.hi)
     mm_over_M_lo.flags.writeable = False
     return BoundSet(
         n=n,

@@ -92,11 +92,11 @@ class CCRecord:
 # an axis is a (lo, hi) pair of shape (2,)
 
 
-def full_bodies(box: ReducedBox, masses: Masses) -> tuple[np.ndarray, np.ndarray]:
+def full_bodies(box: ReducedBox) -> tuple[np.ndarray, np.ndarray]:
     """Positions of all n bodies of a reduced box, the derived last body
     included and body n-2 pinned to y = 0."""
     free = reduced_mod.box_to_free_arrays(box.lo, box.hi)
-    bxlo, bxhi, bylo, byhi = model.all_body_arrays(model.nbody_ctx(masses), *free)
+    bxlo, bxhi, bylo, byhi = model.all_body_arrays(*free)
     return np.stack([bxlo, bylo], axis=-1), np.stack([bxhi, byhi], axis=-1)
 
 
@@ -334,7 +334,7 @@ def same_solution(a: SolutionBox, b: SolutionBox, masses: Masses) -> bool:
     if a is b:
         return True
     rctx = reduced_mod.reduced_ctx(masses)
-    image, orig = full_bodies(b.reduced, masses), full_bodies(a.reduced, masses)
+    image, orig = full_bodies(b.reduced), full_bodies(a.reduced)
     return _certified_pairing(rctx, a.reduced.arrays(), image, orig, masses, SAME_TRIES) is not None
 
 
@@ -358,7 +358,7 @@ def symmetry_check(s: SolutionBox, masses: Masses) -> SymmetryResult:
     rctx = reduced_mod.reduced_ctx(masses)
     n = masses.n
     za = s.reduced.arrays()
-    bodies = full_bodies(s.reduced, masses)
+    bodies = full_bodies(s.reduced)
     lo, hi = bodies
     ox_perm = _certified_pairing(
         rctx, za, reflect_ox(bodies), bodies, masses, SYMMETRY_TRIES, target=n - 2

@@ -5,9 +5,9 @@ configuration for n equal masses, `verify` certifies candidate point
 configurations from a file, `bench` times searches over a parameter grid.
 Flags are the only settings.  A refused setting (n outside 3..7 without
 `--allow-large` among them), an unreadable candidates file, an output
-file in a missing directory or an `--svg-dir` that cannot be created
-exits with code 2 before any work; otherwise the exit code is 0 only for
-complete proofs / fully verified runs.
+file that names a directory or lies in a missing one, or an `--svg-dir`
+that cannot be created exits with code 2 before any work; otherwise the
+exit code is 0 only for complete proofs / fully verified runs.
 """
 
 from __future__ import annotations
@@ -59,9 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(*paths: Path | None) -> None:
-    """Refuse, before any work, an output file whose directory is missing."""
+    """Refuse, before any work, an output file that names a directory or
+    whose directory is missing."""
     for path in paths:
-        if path is not None and not path.parent.is_dir():
+        if path is None:
+            continue
+        if path.is_dir():
+            raise ValueError(f"output file {path} is a directory")
+        if not path.parent.is_dir():
             raise ValueError(f"no directory {path.parent} to write {path.name} in")
 
 
@@ -113,7 +118,7 @@ def cmd_search(args) -> int:
         Path(args.solutions).write_text(report_mod.dump_solutions(solutions, masses))
     if args.svg_dir is not None:
         for k, rec in enumerate(records):
-            svg = report_mod.render_svg(rec.representative, rec.symmetry, masses)
+            svg = report_mod.render_svg(rec.representative, rec.symmetry)
             (args.svg_dir / f"cc_n{args.n}_{k}.svg").write_text(svg)
     proof = stats.undecided == 0 and all(r.representative.gauge_valid for r in records)
     if not proof:
@@ -145,7 +150,7 @@ def cmd_verify(args) -> int:
     if args.svg_dir is not None:
         for res in results:
             if res.certified:
-                svg = report_mod.render_svg(res.solution, res.symmetry, res.masses)
+                svg = report_mod.render_svg(res.solution, res.symmetry)
                 (args.svg_dir / f"candidate_{res.index}.svg").write_text(svg)
     proof = all(r.certified and r.solution.gauge_valid for r in results)
     return 0 if proof else 1

@@ -20,7 +20,3 @@ class CollisionPossible(ValueError):
 class SingularMidpoint(ValueError):
     """Midpoint Jacobian is zero, not finite, singular to `np.linalg.inv` or
     so ill-conditioned that its inverse exceeds `krawczyk.GROWTH_MAX`."""
-
-
-class RefusedUnequalMasses(ValueError):
-    """The requested normalization is only valid for equal masses."""

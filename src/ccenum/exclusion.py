@@ -54,7 +54,7 @@ class _BatchFrame:
     def __init__(self, ctx, xlo, xhi, ylo, yhi):
         self.n = ctx.n
         free = (xlo, xhi, ylo, yhi)
-        self.bxlo, self.bxhi, self.bylo, self.byhi = model.all_body_arrays(ctx, *free)
+        self.bxlo, self.bxhi, self.bylo, self.byhi = model.all_body_arrays(*free)
         self.dxlo, self.dxhi, self.dylo, self.dyhi = model.pair_disp_arrays(ctx, *free)
         self.r2lo, self.r2hi = model.pair_r2_arrays(self.dxlo, self.dxhi, self.dylo, self.dyhi)
         self.rlo, self.rhi = bxo.isqrt(self.r2lo, self.r2hi)
@@ -144,7 +144,10 @@ def cluster_candidates_needed(fr: _BatchFrame, max_diam: np.ndarray) -> np.ndarr
 
 
 def distance_order_excluded_batch(fr: _BatchFrame, ordering: str) -> np.ndarray:
-    """Domain-normalization constraints; valid for equal masses only."""
+    """Domain-normalization constraints: the order of the bodies along the
+    axes and the furthest body on the positive x axis.  Sound because the
+    masses are equal, so relabelling, rotating or reflecting a central
+    configuration gives another, and one of those copies meets them all."""
     n = fr.n
     hi = float(n - 1)
     xlo, xhi, ylo, yhi = fr.bxlo, fr.bxhi, fr.bylo, fr.byhi

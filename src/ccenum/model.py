@@ -1,13 +1,14 @@
-"""Physical model: masses, the batched acceleration arrays of the residual
-and the derived scalars (potential, moment of inertia, scale invariant,
-Moeckel's potential).
+"""Physical model: the equal masses, the batched acceleration arrays of the
+residual and the derived scalars (potential, moment of inertia, scale
+invariant, Moeckel's potential).
 
-Positions are dimensionless: the proportionality constant of the central
-force balance is fixed to 1 and the center of mass sits at the origin, so
-the last body is always eliminated as q_last = -(1/m_last) * sum(m_i q_i).
-Displacements against the eliminated body are expanded so that each free
-coordinate appears exactly once (otherwise interval evaluation pays the
-dependency penalty twice).
+Every body has the same mass m = 1/n.  Positions are dimensionless: the
+proportionality constant of the central force balance is fixed to 1 and
+the center of mass sits at the origin, so the last body is always
+eliminated as q_last = -sum q_i.  A displacement against it is the plain
+difference q_i - q_last = 2 q_i + sum_{j != i} q_j: every coordinate
+enters with a positive coefficient, so the interval difference is as
+tight as the expanded sum.
 """
 
 from __future__ import annotations
@@ -24,43 +25,21 @@ from .errors import CollisionPossible
 from .interval import Interval, interval_sum
 
 
+@dataclass(frozen=True)
 class Masses:
-    """Per-body mass enclosures; equal-mass construction encloses exact 1/n."""
+    """n equal bodies of mass m, an enclosure of the exact 1/n; build it
+    with `equal`."""
 
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        vals = tuple(values)
-        if not vals:
-            raise ValueError("need at least one mass")
-        for v in vals:
-            if not isinstance(v, Interval) or v.lo <= 0.0:
-                raise ValueError(f"masses must be positive intervals, got {v!r}")
-        self.values = vals
+    n: int
+    m: Interval
 
     @classmethod
     def equal(cls, n: int) -> "Masses":
-        m = Interval.from_fraction(Fraction(1, n))
-        return cls([m] * n)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
+        return cls(n, Interval.from_fraction(Fraction(1, n)))
 
     @property
     def total(self) -> Interval:
-        return interval_sum(self.values)
-
-    @property
-    def equal_mass(self) -> bool:
-        first = self.values[0]
-        return all(v == first for v in self.values)
-
-    def key(self):
-        return tuple((v.lo, v.hi) for v in self.values)
-
-    def __repr__(self) -> str:
-        return f"Masses(n={self.n}, equal={self.equal_mass})"
+        return interval_sum([self.m] * self.n)
 
 
 @dataclass(frozen=True)
@@ -74,79 +53,52 @@ class ScalarEnclosures:
 
 
 # ---------------------------------------------------------------------------
-# precomputed per-(n, masses) vectorized context
+# precomputed per-n vectorized context
 
 
 class _Ctx:
-    def __init__(self, n: int, mass_key):
+    def __init__(self, n: int):
         self.n = n
-        mlo = np.array([k[0] for k in mass_key])
-        mhi = np.array([k[1] for k in mass_key])
-        self.mlo, self.mhi = mlo, mhi
-        # weights m_j / m_last and the self coefficient 1 + m_i / m_last
-        wlo, whi = bxo.idiv_pos(mlo[:-1], mhi[:-1], np.full(n - 1, mlo[-1]), np.full(n - 1, mhi[-1]))
-        self.wlo, self.whi = wlo, whi
-        self.coef_lo, self.coef_hi = bxo.iadd(np.ones(n - 1), np.ones(n - 1), wlo, whi)
-        # off-diagonal weight matrix for sum_{j != i} (m_j/m_last) x_j
-        Wlo = np.tile(wlo, (n - 1, 1))
-        Whi = np.tile(whi, (n - 1, 1))
-        np.fill_diagonal(Wlo, 0.0)
-        np.fill_diagonal(Whi, 0.0)
-        self.Wlo, self.Whi = Wlo, Whi
+        m = Masses.equal(n).m
+        self.mlo, self.mhi = m.lo, m.hi
         # unordered pairs over all n bodies, pairs with the derived body last
-        ii, jj = [], []
-        for i in range(n):
-            for j in range(i + 1, n):
-                ii.append(i)
-                jj.append(j)
-        self.ii = np.array(ii)
-        self.jj = np.array(jj)
-        self.P = len(ii)
-        self.pair_free = self.jj < n - 1
-        # mass products per pair and the signed acceleration coefficients:
-        # accel_i = sum_p coef[i, p] * kernel_p with kernel_p = (q_i - q_j)/r^3
-        self.mmlo, self.mmhi = bxo.imul(mlo[self.ii], mhi[self.ii], mlo[self.jj], mhi[self.jj])
-        clo = np.zeros((n, self.P))
-        chi = np.zeros((n, self.P))
-        inc = np.zeros((n, self.P), dtype=bool)
-        for p in range(self.P):
-            i, j = ii[p], jj[p]
-            clo[i, p], chi[i, p] = mlo[j], mhi[j]
-            clo[j, p], chi[j, p] = -mhi[i], -mlo[i]
-            inc[i, p] = inc[j, p] = True
-        self.acc_clo, self.acc_chi = clo, chi
-        self.incidence = inc
+        self.ii, self.jj = np.triu_indices(n, 1)
+        self.P = len(self.ii)
+        mmlo, mmhi = bxo.imul(m.lo, m.hi, m.lo, m.hi)
+        self.mmlo, self.mmhi = np.full(self.P, mmlo), np.full(self.P, mmhi)
+        # body i leads pair p (first) or is in it at all (incidence)
+        bodies = np.arange(n)[:, None]
+        self.first = bodies == self.ii
+        self.incidence = self.first | (bodies == self.jj)
 
 
 @lru_cache(maxsize=32)
-def _ctx_cached(n: int, mass_key) -> _Ctx:
-    return _Ctx(n, mass_key)
+def _ctx_cached(n: int) -> _Ctx:
+    return _Ctx(n)
 
 
 def nbody_ctx(masses: Masses) -> _Ctx:
-    return _ctx_cached(masses.n, masses.key())
+    return _ctx_cached(masses.n)
 
 
 # ---------------------------------------------------------------------------
 # array pipeline (used by the search hot path and wrapped by the public ops)
 
 
-def derived_last_arrays(ctx: _Ctx, xlo, xhi, ylo, yhi):
-    """Enclosure of -(1/m_last) sum m_i q_i from the free-body arrays.
+def derived_last_arrays(xlo, xhi, ylo, yhi):
+    """Enclosure of -sum q_i from the free-body arrays.
 
     All the array pipeline functions take free-body coordinates of shape
     (..., n-1) with an arbitrary batch prefix and vectorize over it.
     """
-    pxlo, pxhi = bxo.imul(ctx.wlo, ctx.whi, xlo, xhi)
-    pylo, pyhi = bxo.imul(ctx.wlo, ctx.whi, ylo, yhi)
-    sxlo, sxhi = bxo.isum(pxlo, pxhi, axis=-1)
-    sylo, syhi = bxo.isum(pylo, pyhi, axis=-1)
+    sxlo, sxhi = bxo.isum(xlo, xhi, axis=-1)
+    sylo, syhi = bxo.isum(ylo, yhi, axis=-1)
     return -sxhi, -sxlo, -syhi, -sylo
 
 
-def all_body_arrays(ctx: _Ctx, xlo, xhi, ylo, yhi):
+def all_body_arrays(xlo, xhi, ylo, yhi):
     """(..., n) coordinate enclosures including the derived last body."""
-    dlo_x, dhi_x, dlo_y, dhi_y = derived_last_arrays(ctx, xlo, xhi, ylo, yhi)
+    dlo_x, dhi_x, dlo_y, dhi_y = derived_last_arrays(xlo, xhi, ylo, yhi)
     bxlo = np.concatenate([xlo, dlo_x[..., None]], axis=-1)
     bxhi = np.concatenate([xhi, dhi_x[..., None]], axis=-1)
     bylo = np.concatenate([ylo, dlo_y[..., None]], axis=-1)
@@ -155,40 +107,11 @@ def all_body_arrays(ctx: _Ctx, xlo, xhi, ylo, yhi):
 
 
 def pair_disp_arrays(ctx: _Ctx, xlo, xhi, ylo, yhi):
-    """Per-pair displacement enclosures q_i - q_j, i < j, shape (..., P).
-
-    Pairs against the derived body use the expanded form
-    x_i (1 + m_i/m_last) + sum_{j != i} (m_j/m_last) x_j so that each free
-    coordinate enters once.
-    """
-    # cross sums excluding the own body
-    cxlo, cxhi = bxo.imul(ctx.Wlo, ctx.Whi, xlo[..., None, :], xhi[..., None, :])
-    cylo, cyhi = bxo.imul(ctx.Wlo, ctx.Whi, ylo[..., None, :], yhi[..., None, :])
-    sxlo, sxhi = bxo.isum(cxlo, cxhi, axis=-1)
-    sylo, syhi = bxo.isum(cylo, cyhi, axis=-1)
-    txlo, txhi = bxo.imul(ctx.coef_lo, ctx.coef_hi, xlo, xhi)
-    tylo, tyhi = bxo.imul(ctx.coef_lo, ctx.coef_hi, ylo, yhi)
-    lastx = bxo.iadd(txlo, txhi, sxlo, sxhi)
-    lasty = bxo.iadd(tylo, tyhi, sylo, syhi)
-
-    shape = xlo.shape[:-1] + (ctx.P,)
-    dxlo = np.empty(shape)
-    dxhi = np.empty(shape)
-    dylo = np.empty(shape)
-    dyhi = np.empty(shape)
-    free = ctx.pair_free
-    f_ii, f_jj = ctx.ii[free], ctx.jj[free]
-    dxlo[..., free], dxhi[..., free] = bxo.isub(
-        xlo[..., f_ii], xhi[..., f_ii], xlo[..., f_jj], xhi[..., f_jj]
-    )
-    dylo[..., free], dyhi[..., free] = bxo.isub(
-        ylo[..., f_ii], yhi[..., f_ii], ylo[..., f_jj], yhi[..., f_jj]
-    )
-    lastsel = ctx.ii[~free]
-    dxlo[..., ~free] = lastx[0][..., lastsel]
-    dxhi[..., ~free] = lastx[1][..., lastsel]
-    dylo[..., ~free] = lasty[0][..., lastsel]
-    dyhi[..., ~free] = lasty[1][..., lastsel]
+    """Per-pair displacement enclosures q_i - q_j, i < j, shape (..., P)."""
+    bxlo, bxhi, bylo, byhi = all_body_arrays(xlo, xhi, ylo, yhi)
+    ii, jj = ctx.ii, ctx.jj
+    dxlo, dxhi = bxo.isub(bxlo[..., ii], bxhi[..., ii], bxlo[..., jj], bxhi[..., jj])
+    dylo, dyhi = bxo.isub(bylo[..., ii], byhi[..., ii], bylo[..., jj], byhi[..., jj])
     return dxlo, dxhi, dylo, dyhi
 
 
@@ -203,7 +126,7 @@ ACCEL_KINDS = ((1, 3, "X"), (1, 3, "Y"))
 
 
 def accel_arrays(ctx: _Ctx, dxlo, dxhi, dylo, dyhi, pair_mask):
-    """Enclosures of sum_j (m_j/r^3)(q_i - q_j) for every body i, (..., n).
+    """Enclosures of m sum_j (q_i - q_j)/r^3 for every body i, (..., n).
 
     `pair_mask` marks the pairs that are collision-free; masked-out pairs
     contribute nothing and the caller must not use rows touching them.
@@ -217,13 +140,22 @@ def accel_arrays(ctx: _Ctx, dxlo, dxhi, dylo, dyhi, pair_mask):
         (kxlo[sel], kylo[sel]), (kxhi[sel], kyhi[sel]) = kernels.bound_pair_kernels(
             dxlo[sel], dxhi[sel], dylo[sel], dyhi[sel], ACCEL_KINDS
         )
-    # accel_i = sum_p c[i,p] * k_p, the coefficients carry the masses and signs
-    txlo, txhi = bxo.imul(ctx.acc_clo, ctx.acc_chi, kxlo[..., None, :], kxhi[..., None, :])
-    tylo, tyhi = bxo.imul(ctx.acc_clo, ctx.acc_chi, kylo[..., None, :], kyhi[..., None, :])
-    where = np.broadcast_to(pair_mask[..., None, :], txlo.shape)
-    axlo, axhi = bxo.isum(txlo, txhi, axis=-1, where=where)
-    aylo, ayhi = bxo.isum(tylo, tyhi, axis=-1, where=where)
+    # accel_i = sum_p +-m k_p: + where body i leads pair p, - where it ends it
+    mkx = bxo.imul(ctx.mlo, ctx.mhi, kxlo, kxhi)
+    mky = bxo.imul(ctx.mlo, ctx.mhi, kylo, kyhi)
+    where = pair_mask[..., None, :] & ctx.incidence
+    axlo, axhi = _signed_sum(ctx, *mkx, where)
+    aylo, ayhi = _signed_sum(ctx, *mky, where)
     return axlo, axhi, aylo, ayhi
+
+
+def _signed_sum(ctx: _Ctx, lo, hi, where):
+    """Per body, the sum of the pair terms (..., P) it leads minus those it
+    ends, over the (..., n, P) mask `where`."""
+    lo, hi = lo[..., None, :], hi[..., None, :]
+    return bxo.isum(
+        np.where(ctx.first, lo, -hi), np.where(ctx.first, hi, -lo), axis=-1, where=where
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +181,7 @@ def scalars(xlo, xhi, ylo, yhi, masses: Masses) -> ScalarEnclosures:
     uulo, uuhi = bxo.irecip_pos(rlo, rhi)
     U_unit = _sum_iv(uulo, uuhi)
 
-    bxlo, bxhi, bylo, byhi = all_body_arrays(ctx, xlo, xhi, ylo, yhi)
+    bxlo, bxhi, bylo, byhi = all_body_arrays(xlo, xhi, ylo, yhi)
     q2 = bxo.iadd(*bxo.isqr(bxlo, bxhi), *bxo.isqr(bylo, byhi))
     ilo, ihi = bxo.imul(ctx.mlo, ctx.mhi, q2[0], q2[1])
     I = _sum_iv(ilo, ihi)

@@ -1,7 +1,8 @@
 """Gauge-fixed square system whose nondegenerate zeros are the normalized
 central configurations.
 
-The last body is eliminated by the center-of-mass identity, the y
+The masses are equal, and the last body is eliminated by the
+center-of-mass identity q_last = -sum q_i (`model`); the y
 coordinate of body n-2 is pinned to 0 (killing the rotational degree of
 freedom) and that body's y equation is dropped.  The remaining
 2(n-1)-1 equations in as many unknowns are solved by the certification
@@ -93,21 +94,15 @@ class _RCtx:
                 lpi[i] = p
         self.fpi, self.lpi = fpi, lpi
         self.offdiag = ~np.eye(n - 1, dtype=bool)
-        # column-mass matrices m_k and the diagonal coefficients m_last + m_i
-        self.MKlo = np.tile(mctx.mlo[:-1], (n - 1, 1))
-        self.MKhi = np.tile(mctx.mhi[:-1], (n - 1, 1))
-        self.mLi_lo, self.mLi_hi = bxo.iadd(
-            np.full(n - 1, mctx.mlo[-1]), np.full(n - 1, mctx.mhi[-1]), mctx.mlo[:-1], mctx.mhi[:-1]
-        )
 
 
 @lru_cache(maxsize=32)
-def _rctx_cached(n: int, mass_key) -> _RCtx:
-    return _RCtx(model._ctx_cached(n, mass_key))
+def _rctx_cached(n: int) -> _RCtx:
+    return _RCtx(model._ctx_cached(n))
 
 
 def reduced_ctx(masses: Masses) -> _RCtx:
-    return _rctx_cached(masses.n, masses.key())
+    return _rctx_cached(masses.n)
 
 
 def box_to_free_arrays(zlo, zhi):
@@ -159,6 +154,7 @@ def jacobian_masked(rctx: _RCtx, zlo, zhi):
     """
     mctx = rctx.m
     n = mctx.n
+    m, m2 = (mctx.mlo, mctx.mhi), (2.0 * mctx.mlo, 2.0 * mctx.mhi)
     B = zlo.shape[0]
     dd = rctx.d
     xlo, xhi, ylo, yhi = box_to_free_arrays(zlo, zhi)
@@ -192,13 +188,13 @@ def jacobian_masked(rctx: _RCtx, zlo, zhi):
     for code, (tlo, thi) in enumerate((A, C, Bk)):
         Flo, Fhi = tlo[:, rctx.fpi], thi[:, rctx.fpi]  # junk diagonal, overwritten below
         Llo, Lhi = tlo[:, rctx.lpi], thi[:, rctx.lpi]
-        # off-diagonal: m_k * (T(i,last) - T(i,k))
+        # off-diagonal: m (T(i,last) - T(i,k))
         difflo, diffhi = bxo.isub(Llo[:, :, None], Lhi[:, :, None], Flo, Fhi)
-        odlo, odhi = bxo.imul(rctx.MKlo, rctx.MKhi, difflo, diffhi)
-        # diagonal: delta + sum_{j != i} m_j T(i,j) + (m_last + m_i) T(i,last)
-        plo, phi = bxo.imul(rctx.MKlo, rctx.MKhi, Flo, Fhi)
+        odlo, odhi = bxo.imul(*m, difflo, diffhi)
+        # diagonal: delta + sum_{j != i} m T(i,j) + 2m T(i,last)
+        plo, phi = bxo.imul(*m, Flo, Fhi)
         slo, shi = bxo.isum(plo, phi, axis=-1, where=rctx.offdiag)
-        qlo, qhi = bxo.imul(rctx.mLi_lo, rctx.mLi_hi, Llo, Lhi)
+        qlo, qhi = bxo.imul(*m2, Llo, Lhi)
         dglo, dghi = bxo.iadd(slo, shi, qlo, qhi)
         if code != 1:  # XX and YY carry the identity term
             dglo, dghi = bxo.iadd(dglo, dghi, np.ones(nf), np.ones(nf))
@@ -219,8 +215,7 @@ def jacobian_masked(rctx: _RCtx, zlo, zhi):
 # public operations
 
 
-def gauge_validity(zlo, zhi, masses: Masses) -> bool:
+def gauge_validity(zlo, zhi) -> bool:
     """True iff the x enclosures of body n-2 and the derived body are disjoint."""
-    free = box_to_free_arrays(zlo, zhi)
-    dlo, dhi, _, _ = model.derived_last_arrays(model.nbody_ctx(masses), *free)
+    dlo, dhi, _, _ = model.derived_last_arrays(*box_to_free_arrays(zlo, zhi))
     return bool(zhi[-1] < dlo or dhi < zlo[-1])

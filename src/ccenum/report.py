@@ -55,8 +55,9 @@ def render_search_report(
     out.append(f"Accuracy eps = {cfg.eps:g}, bias = {cfg.bias:g}")
     out.append("")
     out.append("Input data:")
-    for body, m in zip(_body_lines(domain, masses), masses.values):
-        out.append(f"{body} mass: {fmt_iv(m.lo, m.hi)}")
+    mass = fmt_iv(masses.m.lo, masses.m.hi)
+    for body in _body_lines(domain):
+        out.append(f"{body} mass: {mass}")
     out.append("")
     out.append("")
     out.append(f"The number of undecided cubes: {stats.undecided}")
@@ -77,24 +78,22 @@ def render_search_report(
     for pos, rec in enumerate(records):
         out.append("---------------------")
         out.append(f"position {pos}")
-        out.extend(_solution_lines(rec.representative, rec.symmetry, masses, tally))
+        out.extend(_solution_lines(rec.representative, rec.symmetry, tally))
         out.append("")
     out.append(f"Number of different cc = {len(records)}")
     out.append("")
     return "\n".join(out)
 
 
-def _body_lines(box: ReducedBox, masses: Masses) -> list[str]:
-    lo, hi = full_bodies(box, masses)
+def _body_lines(box: ReducedBox) -> list[str]:
+    lo, hi = full_bodies(box)
     return [
         f"i: {i} X: {fmt_iv(xlo, xhi)} Y: {fmt_iv(ylo, yhi)}"
         for i, ((xlo, ylo), (xhi, yhi)) in enumerate(zip(lo.tolist(), hi.tolist()))
     ]
 
 
-def _solution_lines(
-    s: SolutionBox, sym: SymmetryResult, masses: Masses, tally: Counter | None = None
-) -> list[str]:
+def _solution_lines(s: SolutionBox, sym: SymmetryResult, tally: Counter | None = None) -> list[str]:
     """The bodies, the scalars, the gauge warning and the collinear, OX and
     line verdicts of one configuration.  A search report numbers each
     verdict across its records in `tally`; a verify report numbers none."""
@@ -110,7 +109,7 @@ def _solution_lines(
 
     sc = s.scalars
     U, I, J, P = (fmt_iv(v.lo, v.hi) for v in (sc.U, sc.I, sc.J, sc.P_moeckel))
-    out = _body_lines(s.reduced, masses) + [
+    out = _body_lines(s.reduced) + [
         "",
         f"U = {U}, I = {I},",
         f"U*(I)^(1/2)/(M)^(5/2) = {J}",
@@ -148,7 +147,7 @@ def render_verify_report(results, delta: float) -> str:
         certified += 1
         out.append(f"unique zero certified (delta = {res.delta_used:g})")
         sym = res.symmetry
-        out.extend(_solution_lines(res.solution, sym, res.masses))
+        out.extend(_solution_lines(res.solution, sym))
         if sym.verdict == "ProvedAsymmetric":
             out.append("no reflectional symmetry exists (certified)")
         elif not sym.symmetric:
@@ -213,11 +212,11 @@ def load_solutions(text: str, masses: Masses) -> list[SolutionBox]:
 SVG_SIZE = 360
 
 
-def render_svg(solution: SolutionBox, symmetry: SymmetryResult, masses: Masses) -> str:
+def render_svg(solution: SolutionBox, symmetry: SymmetryResult) -> str:
     """One figure per configuration: bodies as dots, certified symmetry
     lines in red, the derived body included (non-normative styling)."""
     size = SVG_SIZE
-    lo, hi = full_bodies(solution.reduced, masses)
+    lo, hi = full_bodies(solution.reduced)
     pts = (0.5 * (lo + hi)).tolist()
     span = max(max(abs(px), abs(py)) for px, py in pts) * 1.25 + 1e-9
     scale = size / (2 * span)

@@ -25,7 +25,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import exclusion, krawczyk, model
 from . import reduced as reduced_mod
-from .errors import RefusedUnequalMasses
 from .model import Masses, ScalarEnclosures
 from .reduced import ReducedBox
 
@@ -153,7 +152,7 @@ def bisect_with_overlap(
 def make_solution(Klo, Khi, masses: Masses) -> SolutionBox:
     rb = ReducedBox.from_arrays(Klo, Khi)
     sc = model.scalars(*reduced_mod.box_to_free_arrays(rb.lo, rb.hi), masses)
-    gv = reduced_mod.gauge_validity(rb.lo, rb.hi, masses)
+    gv = reduced_mod.gauge_validity(rb.lo, rb.hi)
     return SolutionBox(reduced=rb, scalars=sc, gauge_valid=gv)
 
 
@@ -294,8 +293,6 @@ def search(box: ReducedBox, cfg: SearchConfig, masses: Masses):
     Solutions and undecided boxes come back sorted by their bounds, so
     both paths give the same lists in the same order.
     """
-    if not masses.equal_mass:
-        raise RefusedUnequalMasses("the normalized search domain assumes equal masses")
     root = tuple(a[None] for a in box.arrays())
     if cfg.threads == 1:
         rctx = reduced_mod.reduced_ctx(masses)

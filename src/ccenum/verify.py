@@ -35,7 +35,6 @@ class VerifyResult:
     delta_used: float | None
     solution: SolutionBox | None
     symmetry: SymmetryResult | None
-    masses: Masses | None = None
     message: str = ""
 
 
@@ -72,9 +71,7 @@ def gauge_candidate(points: list[tuple[float, float]], masses: Masses) -> np.nda
     if masses.n != n:
         raise ValueError("candidate body count does not match the masses")
     pts = np.array(points, dtype=float)
-    w = np.array([v.mid for v in masses.values])
-    com = (w[:, None] * pts).sum(axis=0) / w.sum()
-    pts -= com
+    pts -= pts.mean(axis=0)
     far = int(np.argmax((pts**2).sum(axis=1)))
     rho = float(np.hypot(*pts[far]))
     if rho == 0.0:
@@ -102,7 +99,7 @@ def verify_candidate(
     try:
         z = gauge_candidate(points, masses)
     except ValueError as exc:
-        return VerifyResult(index, False, None, None, None, masses, message=str(exc))
+        return VerifyResult(index, False, None, None, None, message=str(exc))
     rctx = reduced_mod.reduced_ctx(masses)
     d = delta
     while d <= DELTA_MAX * (1 + 1e-12):
@@ -111,7 +108,7 @@ def verify_candidate(
             tight = krawczyk.contract(rctx, outcome.lo, outcome.hi)
             sol = make_solution(tight[0], tight[1], masses)
             sym = classify.symmetry_check(sol, masses)
-            return VerifyResult(index, True, d, sol, sym, masses)
+            return VerifyResult(index, True, d, sol, sym)
         d *= 2.0
     message = f"no certification up to delta = {DELTA_MAX:g}"
-    return VerifyResult(index, False, None, None, None, masses, message=message)
+    return VerifyResult(index, False, None, None, None, message=message)

@@ -28,10 +28,10 @@ def _passline(text):
     print(f"\n[ACCEPTANCE] {text}: PASS")
 
 
-def record_matches_points(rec, masses, pts, tol):
+def record_matches_points(rec, pts, tol):
     """Body-wise match of a record against listed points, up to relabeling
     and the mirror freedom of the gauge."""
-    lo, hi = classify.full_bodies(rec.representative.reduced, masses)
+    lo, hi = classify.full_bodies(rec.representative.reduced)
     for mirror in (False, True):
         cand = [(x, -y) if mirror else (x, y) for x, y in pts]
         used = set()
@@ -53,9 +53,9 @@ def record_matches_points(rec, masses, pts, tol):
     return False
 
 
-def find_record(records, masses, pts, tol=1e-4):
+def find_record(records, pts, tol=1e-4):
     for rec in records:
-        if record_matches_points(rec, masses, pts, tol):
+        if record_matches_points(rec, pts, tol):
             return rec
     return None
 
@@ -91,22 +91,21 @@ class TestCriterion1Counts:
 
 class TestCriterion3Coordinates:
     def test_n3_analytic(self, run_n3):
-        m = run_n3.masses
         collinear = [(-D3, 0.0), (D3, 0.0), (0.0, 0.0)]
         equilateral = [(-R3 / 2, 0.5), (R3, 0.0), (-R3 / 2, -0.5)]
-        assert find_record(run_n3.records, m, collinear) is not None
-        assert find_record(run_n3.records, m, equilateral) is not None
+        assert find_record(run_n3.records, collinear) is not None
+        assert find_record(run_n3.records, equilateral) is not None
         _passline("criterion 3 (n=3 analytic coordinates inside enclosures)")
 
     def test_n4_listed(self, run_n4):
         for pts in load_listed(4):
-            assert find_record(run_n4.records, run_n4.masses, pts) is not None, pts
+            assert find_record(run_n4.records, pts) is not None, pts
         _passline("criterion 3 (n=4 listed coordinates inside enclosures +1e-4)")
 
     @pytest.mark.slow
     def test_n5_listed(self, run_n5):
         for pts in load_listed(5):
-            assert find_record(run_n5.records, run_n5.masses, pts) is not None, pts
+            assert find_record(run_n5.records, pts) is not None, pts
         _passline("criterion 3 (n=5 listed coordinates inside enclosures +1e-4)")
 
 
@@ -144,7 +143,7 @@ class TestCriterion4Scalars:
     @pytest.mark.parametrize("name", sorted(N3_J))
     def test_n3_j(self, run_n3, name):
         pts, value = N3_J[name]
-        rec = find_record(run_n3.records, run_n3.masses, pts)
+        rec = find_record(run_n3.records, pts)
         J = rec.representative.scalars.J
         assert J.inflate(J_TOL).contains(value), (name, value, (J.lo, J.hi))
         _passline(f"criterion 4 (n=3 {name} J contains {value} within 1e-6)")
@@ -152,7 +151,7 @@ class TestCriterion4Scalars:
     @pytest.mark.parametrize("name", ("collinear", "square", "isosceles", "eq-center"))
     def test_n4_j(self, run_n4, name):
         pts, value = N4_J_LISTED[name]
-        rec = find_record(run_n4.records, run_n4.masses, pts)
+        rec = find_record(run_n4.records, pts)
         J = rec.representative.scalars.J
         assert J.inflate(J_TOL).contains(value), (
             f"{name}: enclosure [{J.lo}, {J.hi}] misses the published {value}; "
@@ -164,7 +163,7 @@ class TestCriterion4Scalars:
     def test_n4_j_report_cross_check(self, run_n4, name):
         """The enclosures overlap the published rigorous intervals."""
         pts, _ = N4_J_LISTED[name]
-        rec = find_record(run_n4.records, run_n4.masses, pts)
+        rec = find_record(run_n4.records, pts)
         J = rec.representative.scalars.J
         lo, hi = N4_J_REPORT[name]
         assert not (J.hi < lo - J_TOL or J.lo > hi + J_TOL), (name, (J.lo, J.hi))
@@ -177,17 +176,16 @@ class TestCriterion4Scalars:
         # reference values here are interval-valued, so containment within
         # 1e-6 means a nonempty overlap with the inflated enclosure
         pts = load_listed(5)[N5_LISTED_ORDER.index(name)]
-        rec = find_record(run_n5.records, run_n5.masses, pts)
+        rec = find_record(run_n5.records, pts)
         J = rec.representative.scalars.J.inflate(J_TOL)
         lo, hi = N5_J_REPORT[name]
         assert not (J.hi < lo or J.lo > hi), (name, (J.lo, J.hi), (lo, hi))
         _passline(f"criterion 4 (n=5 {name} J agrees with the rigorous values within 1e-6)")
 
     def test_moeckel_values(self, run_n3):
-        m = run_n3.masses
-        eq = find_record(run_n3.records, m, N3_J["equilateral"][0])
+        eq = find_record(run_n3.records, N3_J["equilateral"][0])
         assert eq.representative.scalars.P_moeckel.contains(3.0)
-        col = find_record(run_n3.records, m, N3_J["collinear"][0])
+        col = find_record(run_n3.records, N3_J["collinear"][0])
         P = col.representative.scalars.P_moeckel
         assert P.inflate(1e-6).contains(3.535533906)
         _passline("criterion 4 (Moeckel potential: equilateral contains 3, collinear 3.535533906)")

@@ -98,7 +98,7 @@ class TestSymmetry:
         midpoints lands back inside the certified enclosures."""
         m = Masses.equal(3)
         sym = symmetry_check(equilateral3, m)
-        lo, hi = classify.full_bodies(equilateral3.reduced, m)
+        lo, hi = classify.full_bodies(equilateral3.reduced)
         mids = (0.5 * (lo + hi)).tolist()
         perm = sym.ox_permutation
         for i, (px, py) in enumerate(mids):
@@ -125,7 +125,7 @@ class TestSymmetry:
             cx, cy = line.axis_x.mid, line.axis_y.mid
             assert abs(np.hypot(cx, cy) - 1.0) < 1e-12
             rxx, rxy = cx * cx - cy * cy, 2.0 * cx * cy
-            lo, hi = classify.full_bodies(res.solution.reduced, m)
+            lo, hi = classify.full_bodies(res.solution.reduced)
             mids = (0.5 * (lo + hi)).tolist()
             for (px, py), j in zip(mids, line.permutation):
                 tx, ty = mids[j]
@@ -186,7 +186,7 @@ class TestSymmetry:
         assert res.certified
         assert res.symmetry.verdict == "ProvedAsymmetric"
         # re-assert the disjointness that backs the verdict for the OX axis
-        lo, hi = classify.full_bodies(res.solution.reduced, Masses.equal(8))
+        lo, hi = classify.full_bodies(res.solution.reduced)
         rlo, rhi = classify.reflect_ox((lo, hi))
         assert np.any((rhi < lo) | (hi < rlo))
 

@@ -74,6 +74,14 @@ class TestSearchCommand:
         assert main(["search", "--n", "3", f"--{flag}", str(missing)]) == 2
         assert str(missing.parent) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["report", "solutions"])
+    def test_output_naming_a_directory_exits_2(self, flag, tmp_path, monkeypatch, capsys):
+        """An output path that is a directory is refused before the search,
+        not with an IsADirectoryError after it."""
+        monkeypatch.setattr(cli, "search", _started)
+        assert main(["search", "--n", "3", f"--{flag}", str(tmp_path)]) == 2
+        assert f"{tmp_path} is a directory" in capsys.readouterr().err
+
     def test_allow_large_flag(self, monkeypatch):
         monkeypatch.setattr(cli, "search", _raise_started)
         with pytest.raises(Started):
@@ -221,6 +229,11 @@ class TestVerifyCommand:
         assert main(["verify", "--candidates", str(N3_CANDIDATES), "--report", str(missing)]) == 2
         assert str(missing.parent) in capsys.readouterr().err
 
+    def test_report_naming_a_directory_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "verify_candidate", _started)
+        assert main(["verify", "--candidates", str(N3_CANDIDATES), "--report", str(tmp_path)]) == 2
+        assert f"{tmp_path} is a directory" in capsys.readouterr().err
+
     def test_svg_dir_naming_a_file_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "verify_candidate", _started)
         afile = tmp_path / "afile"
@@ -312,6 +325,11 @@ class TestBenchCommand:
         missing = tmp_path / "missing" / "bench.csv"
         assert main(["bench", "--n-list", "3", "--out", str(missing)]) == 2
         assert str(missing.parent) in capsys.readouterr().err
+
+    def test_out_naming_a_directory_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "search", _started)
+        assert main(["bench", "--n-list", "3", "--out", str(tmp_path)]) == 2
+        assert f"{tmp_path} is a directory" in capsys.readouterr().err
 
     def test_empty_grid(self, tmp_path):
         out = tmp_path / "bench.csv"

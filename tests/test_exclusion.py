@@ -4,6 +4,7 @@ configuration).  Every example runs the batched function the search
 calls, on a batch of one box.  An `mpmath.iv` oracle checks the
 battery's enclosures on boxes the n = 4 and n = 5 searches visit."""
 
+import math
 import warnings
 from functools import lru_cache
 
@@ -194,18 +195,6 @@ class TestUEqI:
 
 
 class TestDistanceOrder:
-    def test_unequal_masses_refused(self):
-        # the body-order test runs only inside the search, which refuses
-        # unequal masses before any battery call
-        from ccenum.errors import RefusedUnequalMasses
-        from ccenum.interval import Interval
-        from ccenum.search import SearchConfig, initial_domain, search
-
-        cfg = SearchConfig(n=3)
-        m = Masses([Interval(0.2), Interval(0.3), Interval(0.5)])
-        with pytest.raises(RefusedUnequalMasses):
-            search(initial_domain(cfg), cfg, m)
-
     def test_middle_order_violation_n5(self):
         # derived body lands at (-0.7, 0.1); the n=5 chain is x_2 vs derived x
         x, y = [-0.7, 0.0, 0.5, 0.9], [0.3, -0.5, 0.1, 0.0]
@@ -505,6 +494,31 @@ class TestMpmathOracle:
                 exact = sum((mq2[i] for i in np.flatnonzero(mask)), iv50.mpf(0))
                 assert lo <= exact.a and exact.b <= hi, (n, b, mask)
         assert colliding and len(groups) and 0 < len(U_hi) < len(md)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_derived_body_is_tight(self, iv50, n):
+        """The derived body encloses -sum q_i, and each displacement against
+        it, a plain difference, encloses its exact range 2 q_i + sum_{j != i}
+        q_j and is wider by at most 4n ulps of the sum of its terms'
+        magnitudes: every coordinate enters the enclosure once."""
+        ctx, free, fr, _ = _search_frame(n)
+        last = np.flatnonzero(ctx.jj == n - 1)
+        for b in range(len(fr.bxlo)):
+            for (clo, chi), (blo, bhi), (dlo, dhi) in (
+                (free[0:2], (fr.bxlo, fr.bxhi), (fr.dxlo, fr.dxhi)),
+                (free[2:4], (fr.bylo, fr.byhi), (fr.dylo, fr.dyhi)),
+            ):
+                X = [iv50.mpf([lo, hi]) for lo, hi in zip(clo[b], chi[b])]
+                mag = np.maximum(np.abs(clo[b]), np.abs(chi[b]))
+                exact = -sum(X)
+                assert blo[b, -1] <= exact.a and exact.b <= bhi[b, -1], (n, b)
+                for p in last:
+                    i = ctx.ii[p]
+                    exact = 2 * X[i] + sum(X[k] for k in range(n - 1) if k != i)
+                    lo, hi = dlo[b, p], dhi[b, p]
+                    assert lo <= exact.a and exact.b <= hi, (n, b, p)
+                    slack = (hi - lo) - float(exact.b - exact.a)
+                    assert slack <= 4 * n * math.ulp(mag[i] + mag.sum()), (n, b, p)
 
     def test_overflowing_terms_fire_nothing(self, iv50):
         """Distances of 0 and below 1e-308: the sums overflow, and inf U

@@ -30,9 +30,9 @@ def equilateral_config():
     return config_from_points([(-R3 / 2, -0.5), (R3, 0.0)])
 
 
-def last_body(c, masses: Masses):
+def last_body(c):
     """The eliminated body's (x, y) enclosures, from `model.derived_last_arrays`."""
-    dxlo, dxhi, dylo, dyhi = model.derived_last_arrays(model.nbody_ctx(masses), *c)
+    dxlo, dxhi, dylo, dyhi = model.derived_last_arrays(*c)
     return Interval(float(dxlo), float(dxhi)), Interval(float(dylo), float(dyhi))
 
 
@@ -47,7 +47,7 @@ def full_residual_iv(c, masses: Masses):
     if np.any(r2lo <= 0.0):
         return None
     axlo, axhi, aylo, ayhi = model.accel_arrays(ctx, *d, pair_mask=r2lo > 0.0)
-    bxlo, bxhi, bylo, byhi = model.all_body_arrays(ctx, xlo, xhi, ylo, yhi)
+    bxlo, bxhi, bylo, byhi = model.all_body_arrays(xlo, xhi, ylo, yhi)
     fxlo, fxhi = bxo.isub(bxlo, bxhi, axlo, axhi)
     fylo, fyhi = bxo.isub(bylo, byhi, aylo, ayhi)
     out = []
@@ -71,38 +71,25 @@ def distances(c, masses: Masses):
 class TestMasses:
     def test_equal_encloses_exact(self):
         m = Masses.equal(3)
-        assert m.values[0].contains(1 / 3)
+        assert m.n == 3 and m.m.contains(1 / 3)
         assert m.total.contains(1.0)
-        assert m.equal_mass
-
-    def test_from_floats(self):
-        m = Masses([Interval(0.25), Interval(0.75)])
-        assert not m.equal_mass
-        assert m.total.contains(1.0)
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            Masses([Interval(0.5), Interval(0.0)])
 
 
 class TestDeriveLast:
     def test_symmetric_pair(self):
-        m = Masses.equal(3)
         c = config_from_points([(-0.5, 0.0), (0.5, 0.0)])
-        x, y = last_body(c, m)
+        x, y = last_body(c)
         assert x.contains(0.0) and y.contains(0.0)
         assert x.width < 1e-14
 
     def test_direct_formula(self):
-        m = Masses.equal(3)
         c = config_from_points([(1.0, 0.0), (1.0, 0.0)])
-        x, _ = last_body(c, m)
+        x, _ = last_body(c)
         assert x.contains(-2.0) and x.width < 1e-13
 
     def test_isosceles_fourth_body(self):
-        m = Masses.equal(4)
         pts = [(-0.3821936947, 0.6195346528), (-0.3821936947, -0.6195346528), (0.7436490828, 0.0)]
-        x, y = last_body(config_from_points(pts), m)
+        x, y = last_body(config_from_points(pts))
         assert abs(x.mid - 0.0207383067) < 1e-9
         assert y.contains(0.0)
 
@@ -169,12 +156,12 @@ class TestResidual:
             if F is None:
                 continue
             done += 1
-            coords = [(Interval(x), Interval(y)) for x, y in pts] + [last_body(c, m)]
+            coords = [(Interval(x), Interval(y)) for x, y in pts] + [last_body(c)]
             fsumx = Interval(0.0)
             fsumy = Interval(0.0)
             ang = Interval(0.0)
             for i in range(n):
-                mi = m.values[i]
+                mi = m.m
                 fx = mi * (coords[i][0] - F[2 * i])
                 fy = mi * (coords[i][1] - F[2 * i + 1])
                 fsumx = fsumx + fx

@@ -4,11 +4,12 @@ there, and so is every method that is not a dunder, but as an attribute
 (`.name`) only: a local variable of the same name keeps no method alive.
 Strings and docstrings do not count, nor does module-level code such as
 `if __name__ == ...`.  The few names allowed without a caller must
-really have none.  Every attribute an `__init__` sets on `self` is read
-as an attribute somewhere else in `src/ccenum`, and every parameter of a
-function there is read by its body.  Outward rounding lives in `boxops`
-and `interval` only: no other module calls `nextafter` or writes a unit
-roundoff."""
+really have none.  Every attribute an `__init__` sets on `self`, and
+every field of a `@dataclass`, is read as an attribute somewhere else in
+`src/ccenum`, unless `ALLOWED` names its reader outside; every parameter
+of a function there is read by its body.  Outward rounding lives in
+`boxops` and `interval` only: no other module calls `nextafter` or writes
+a unit roundoff."""
 
 import ast
 from pathlib import Path
@@ -27,6 +28,10 @@ ALLOWED = {
     "report.load_solutions": "the only check of the bit-exact dump_solutions round trip",
     "interval.IntervalMatrix": "its methods are the scalar reference for boxops.bmat*",
     "krawczyk.midpoint_inverse": "single-matrix form checked by TestBatchedInverse; traced by proofbench",
+    "bounds.BoundSet.R_max": "the published outer radius checked in test_bounds",
+    "bounds.BoundSet.R_min": "the published inner radius checked in test_bounds",
+    "bounds.BoundSet.R_max_interval": "the directional-rounding check in test_bounds",
+    "classify.CCRecord.members": "proofbench's class check reads every member",
 }
 
 
@@ -56,6 +61,23 @@ def _units():
     return out
 
 
+def _dataclass_fields():
+    """`module.Class.field` of every annotated field of a `@dataclass`."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if any(getattr(d, "id", None) == "dataclass" for d in decorators):
+                out += [
+                    f"{path.stem}.{node.name}.{stmt.target.id}"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    return out
+
+
 def test_every_definition_has_a_caller():
     units = _units()
     dead = []
@@ -72,9 +94,10 @@ def test_every_definition_has_a_caller():
     # an allowed class covers its methods
     unused = sorted(q for q in dead if q not in ALLOWED and q.rsplit(".", 1)[0] not in ALLOWED)
     assert not unused, f"no caller in src/ccenum: {unused}"
-    stale = sorted(set(ALLOWED) - {qual for qual, _, _ in units})
+    fields = set(_dataclass_fields())
+    stale = sorted(set(ALLOWED) - {qual for qual, _, _ in units} - fields)
     assert not stale, f"allowed but not defined: {stale}"
-    called = sorted(set(ALLOWED) - set(dead))
+    called = sorted(set(ALLOWED) - set(dead) - fields)
     assert not called, f"allowed but called in src/ccenum, drop from ALLOWED: {called}"
 
 
@@ -109,6 +132,20 @@ def test_every_init_attribute_is_read():
         ]
     unread = sorted(q for q in stored if q.rsplit(".", 1)[1] not in reads)
     assert not unread, f"set in __init__ but never read in src/ccenum: {unread}"
+
+
+def test_every_dataclass_field_is_read():
+    reads = {
+        sub.attr
+        for path in sorted(SRC.glob("*.py"))
+        for sub in ast.walk(ast.parse(path.read_text()))
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    fields = _dataclass_fields()
+    unread = sorted(q for q in fields if q.rsplit(".", 1)[1] not in reads and q not in ALLOWED)
+    assert not unread, f"dataclass field never read in src/ccenum: {unread}"
+    read = sorted(q for q in fields if q.rsplit(".", 1)[1] in reads and q in ALLOWED)
+    assert not read, f"allowed but read in src/ccenum, drop from ALLOWED: {read}"
 
 
 def test_every_parameter_is_read():

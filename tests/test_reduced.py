@@ -158,7 +158,7 @@ class TestGaugeAndConversions:
         hi = lo + 2e-3
         rb = ReducedBox.from_arrays(lo, hi)
         assert [a.tolist() for a in rb.arrays()] == [lo.tolist(), hi.tolist()]
-        blo, bhi = classify.full_bodies(rb, Masses.equal(4))
+        blo, bhi = classify.full_bodies(rb)
         assert blo.shape == bhi.shape == (4, 2)
         xlo, xhi, ylo, yhi = reduced_mod.box_to_free_arrays(lo, hi)
         for k in range(3):
@@ -184,17 +184,17 @@ class TestGaugeAndConversions:
 
     def test_gauge_validity_collinear(self):
         rb = box_from_point([-D3, 0.0, D3], 1e-6)
-        assert gauge_validity(*rb.arrays(), Masses.equal(3))
+        assert gauge_validity(*rb.arrays())
 
     def test_gauge_validity_equilateral(self):
         rb = box_from_point([-0.2886751346, -0.5, 0.5773502692], 1e-6)
-        assert gauge_validity(*rb.arrays(), Masses.equal(3))
+        assert gauge_validity(*rb.arrays())
 
     def test_gauge_violation_synthetic(self):
         # derived body shares the pinned body's x enclosure
         rb = box_from_point([-1.0, 1.0, 0.5], 0.0)
         # derived x = -(x0 + x1)/1 with equal masses: -(-1.0 + 0.5) = 0.5
-        assert not gauge_validity(*rb.arrays(), Masses.equal(3))
+        assert not gauge_validity(*rb.arrays())
 
     def test_dimension_check(self):
         for d in (0, 2, 4):

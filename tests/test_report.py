@@ -106,7 +106,7 @@ class TestGoldenReports:
 class TestSvg:
     def test_svg_contains_bodies_and_axis(self, run_n3):
         rec = next(r for r in run_n3.records if not r.symmetry.collinear)
-        svg = report_mod.render_svg(rec.representative, rec.symmetry, run_n3.masses)
+        svg = report_mod.render_svg(rec.representative, rec.symmetry)
         assert svg.count("<circle") == 3
         assert 'stroke="red"' in svg
         assert svg.startswith("<svg")

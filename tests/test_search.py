@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ccenum import bounds, exclusion, krawczyk, reduced, search as search_mod
-from ccenum.interval import Interval
 from ccenum.model import Masses
 from ccenum.reduced import ReducedBox
 from ccenum.search import SearchConfig, SearchStats, bisect_with_overlap, initial_domain, search
@@ -220,14 +219,6 @@ class TestSearchRuns:
         cfg = SearchConfig(n=3, threads=2)
         with pytest.raises(RuntimeError, match="task failed"):
             search(initial_domain(cfg), cfg, Masses.equal(3))
-
-    def test_unequal_masses_refused(self):
-        from ccenum.errors import RefusedUnequalMasses
-
-        cfg = SearchConfig(n=3)
-        m = Masses([Interval(0.5), Interval(0.3), Interval(0.2)])
-        with pytest.raises(RefusedUnequalMasses):
-            search(initial_domain(cfg), cfg, m)
 
 
 class TestFeedIdle:
