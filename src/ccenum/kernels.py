@@ -14,13 +14,13 @@ both contains the true range and never exceeds the naive bound.
 A thin row, whose sides are both at most `THIN` * inf r wide, keeps the
 naive evaluation alone.
 
-`bound_kernel_batch` bounds one kernel (or per-row kernels).
-`bound_pair_kernels` bounds several kernels of the same pair boxes at
-once: the squares and r-powers of the boxes and of their corners are
-computed once for all kernels, and a row evaluates its edge candidates
-only when a cheap float test cannot rule them all off the box.  Both give
-bit-identical bounds, and a row's bound does not depend on the rows it
-shares a batch with.
+Every enclosure comes from one evaluator, `_evaluate`, which bounds several
+kernels over boxes or points from squares and r-powers computed once.
+`bound_kernel_batch` bounds one kernel.  `bound_pair_kernels` bounds
+several kernels of the same pair boxes at once, and a row evaluates its
+edge candidates only when a cheap float test cannot rule them all off the
+box.  Both give bit-identical bounds, and a row's bound does not depend on
+the rows it shares a batch with.
 """
 
 from __future__ import annotations
@@ -66,83 +66,73 @@ def _r_powers(r2lo, r2hi, bs):
     return {b: _r_power(pw, b) for b in bs}
 
 
-def _r_pow(r2lo, r2hi, b):
-    """(r^b)_lo, (r^b)_hi from an enclosure of r^2; b may be a per-element array
-    with values in {2, 3, 5}."""
-    if isinstance(b, np.ndarray):
-        pw = _r_powers(r2lo, r2hi, (2, 3, 5))
-        sel2 = b == 2
-        sel3 = b == 3
-        lo = np.where(sel2, pw[2][0], np.where(sel3, pw[3][0], pw[5][0]))
-        hi = np.where(sel2, pw[2][1], np.where(sel3, pw[3][1], pw[5][1]))
-        return lo, hi
-    return _r_powers(r2lo, r2hi, (b,))[b]
+def _evaluate(xlo, xhi, ylo, yhi, kinds):
+    """Naive enclosures of every kernel in `kinds` over boxes or points
+    [x] x [y] of one broadcast shape S: lo and hi of shape (len(kinds),) + S,
+    and inf r^2 of shape S.
+
+    A kind (a, b, axis) is the kernel t^a / r^b, with t the displacement
+    along `axis` ("X" for x, "Y" for y), a in {0, 1, 2} and an integer
+    b > a; anything else raises ValueError.  The squares, r^2 and the
+    r-powers are computed once for all kinds.  Raises SingularBox, before
+    any division, if some inf r^2 <= 0.
+    """
+    for a, b, axis in kinds:
+        integer = isinstance(b, (int, np.integer))
+        if a not in (0, 1, 2) or axis not in ("X", "Y") or not integer or b <= a:
+            raise ValueError(f"no kernel t^a / r^b for the kind (a, b, axis) = {(a, b, axis)}")
+    x2, y2 = bx.isqr(xlo, xhi), bx.isqr(ylo, yhi)
+    r2lo, r2hi = bx.iadd(*x2, *y2)
+    if np.any(r2lo <= 0.0):
+        raise SingularBox("kernel box may contain the origin")
+    pw = _r_powers(r2lo, r2hi, {b for _, b, _ in kinds})
+    num = {("X", 1): (xlo, xhi), ("Y", 1): (ylo, yhi), ("X", 2): x2, ("Y", 2): y2}
+    lo = np.empty((len(kinds),) + r2lo.shape)
+    hi = np.empty_like(lo)
+    for k, (a, b, axis) in enumerate(kinds):
+        lo[k], hi[k] = bx.irecip_pos(*pw[b]) if a == 0 else bx.idiv_pos(*num[axis, a], *pw[b])
+    return lo, hi, r2lo
 
 
-def _num_pow(cxlo, cxhi, a):
-    """Numerator power x^a for a in {1, 2}; a may be a per-element array."""
-    one = np.equal(a, 1)
-    if not np.all(one | np.equal(a, 2)):
-        raise ValueError("the numerator exponent must be 1 or 2")
-    sqlo, sqhi = bx.isqr(cxlo, cxhi)
-    return np.where(one, cxlo, sqlo), np.where(one, cxhi, sqhi)
-
-
-def _kernel_at(cxlo, cxhi, cylo, cyhi, a, b):
-    """Kernel value enclosures at (interval-) candidate points."""
-    tlo, thi = _num_pow(cxlo, cxhi, a)
-    x2lo, x2hi = bx.isqr(cxlo, cxhi)
-    y2lo, y2hi = bx.isqr(cylo, cyhi)
-    r2lo, r2hi = bx.iadd(x2lo, x2hi, y2lo, y2hi)
-    rblo, rbhi = _r_pow(r2lo, r2hi, b)
-    return bx.idiv_pos(tlo, thi, rblo, rbhi)
-
-
-def bound_kernel_batch(dxlo, dxhi, dylo, dyhi, a, b, slope_lo=None, slope_hi=None):
-    """Vectorized range enclosure of dx^a/r^b over boxes [dx] x [dy].
+def bound_kernel_batch(dxlo, dxhi, dylo, dyhi, a, b):
+    """Vectorized range enclosure of dx^a/r^b, a in {1, 2}, over boxes [dx] x [dy].
 
     Raises SingularBox if a box may contain the origin.  For the Y-axis
     kernel swap the dx and dy arguments (the candidate set is
-    swap-symmetric).  `a` and `b` may be per-row arrays (then
-    `slope_lo`/`slope_hi` must carry the per-row critical slopes).  Thin
-    rows, point boxes among them, keep the naive evaluation.
+    swap-symmetric).  Thin rows, point boxes among them, keep the naive
+    evaluation.
     """
+    if a not in (1, 2):
+        raise ValueError(f"the numerator exponent must be 1 or 2, not {a}")
     # never worse than the naive evaluation, and it certifies the precondition
-    nlo, nhi = _naive(dxlo, dxhi, dylo, dyhi, a, b)
-    r2lo = bx.iadd(*bx.isqr(dxlo, dxhi), *bx.isqr(dylo, dyhi))[0]
+    nlo, nhi, r2lo = _naive(dxlo, dxhi, dylo, dyhi, a, b)
     rows = np.flatnonzero(~_thin_rows(dxlo, dxhi, dylo, dyhi, r2lo))
     if not rows.size:
         return nlo, nhi
     dxlo, dxhi, dylo, dyhi = dxlo[rows], dxhi[rows], dylo[rows], dyhi[rows]
-    if slope_lo is None:
-        s = _slope(int(a), int(b))
-        slope_lo = np.full_like(dxlo, s.lo)
-        slope_hi = np.full_like(dxlo, s.hi)
-    else:
-        slope_lo, slope_hi = slope_lo[rows], slope_hi[rows]
-    if isinstance(a, np.ndarray):
-        a, b = a[rows], b[rows]
     cx = np.stack([dxlo, dxlo, dxhi, dxhi], axis=1)
     cy = np.stack([dylo, dyhi, dylo, dyhi], axis=1)
-    ca, cb = (a[:, None], b[:, None]) if isinstance(a, np.ndarray) else (a, b)
-    clo, chi = _kernel_at(cx, cx, cy, cy, ca, cb)
-    elo, ehi = _edge_bounds(dxlo, dxhi, dylo, dyhi, a, b, slope_lo, slope_hi)
-    nlo[rows] = np.maximum(np.minimum(clo.min(axis=1), elo), nlo[rows])
-    nhi[rows] = np.minimum(np.maximum(chi.max(axis=1), ehi), nhi[rows])
+    clo, chi, _ = _evaluate(cx, cx, cy, cy, ((a, b, "X"),))
+    elo, ehi = _edge_bounds(dxlo, dxhi, dylo, dyhi, ((a, b),), rows.size)
+    nlo[rows] = np.maximum(np.minimum(clo[0].min(axis=1), elo), nlo[rows])
+    nhi[rows] = np.minimum(np.maximum(chi[0].max(axis=1), ehi), nhi[rows])
     return nlo, nhi
 
 
-def _edge_bounds(dxlo, dxhi, dylo, dyhi, a, b, slope_lo, slope_hi):
+def _edge_bounds(dxlo, dxhi, dylo, dyhi, ab, k):
     """Smallest lower and largest upper kernel enclosure over the 20 edge
     candidates that lie on the box, +inf and -inf where none does.
 
+    The rows come kind-major: k rows of dx^a / r^b for each (a, b) of `ab`.
     The candidates are the axis crossings x = 0 and y = 0 and the crossings
-    of the lines y = +-m x, m in {s, 1/s}, with the four edges; `a`, `b` and
-    the slopes s may be per row.
+    of the lines y = +-m x, m in {s, 1/s}, with the four edges, where s is
+    the critical slope of the row's own (a, b).
     """
+    # the critical slope of each row's own (a, b), as two (len(ab) * k, 1) columns
+    s = np.repeat([(_slope(a, b).lo, _slope(a, b).hi) for a, b in ab], k, axis=0)
+    s = s[:, :1], s[:, 1:]
     ex = np.stack([dxlo, dxhi], axis=1)  # abscissae of the vertical edges
     ey = np.stack([dylo, dyhi], axis=1)  # ordinates of the horizontal edges
-    s = (slope_lo[:, None], slope_hi[:, None])
     h1, h2 = bx.idiv_pos(ey, ey, *s), bx.imul(ey, ey, *s)  # y = c meets the lines at x = +-c/m
     v1, v2 = bx.imul(ex, ex, *s), bx.idiv_pos(ex, ex, *s)  # x = c meets them at y = +-m c
     zero = np.zeros_like(ex)
@@ -157,14 +147,16 @@ def _edge_bounds(dxlo, dxhi, dylo, dyhi, a, b, slope_lo, slope_hi):
     np.maximum(cylo, dylo[:, None], out=cylo)
     np.minimum(cyhi, dyhi[:, None], out=cyhi)
     valid = (cxlo <= cxhi) & (cylo <= cyhi)
-    if isinstance(a, np.ndarray):
-        rows = np.nonzero(valid)[0]
-        a, b = a[rows], b[rows]
-    vlo, vhi = _kernel_at(cxlo[valid], cxhi[valid], cylo[valid], cyhi[valid], a, b)
+    # each candidate under every distinct (a, b), then its own row's value
+    pairs = sorted(set(ab))
+    own = np.repeat([pairs.index(p) for p in ab], k)[np.nonzero(valid)[0]]
+    vlo, vhi, _ = _evaluate(
+        cxlo[valid], cxhi[valid], cylo[valid], cyhi[valid], tuple((a, b, "X") for a, b in pairs)
+    )
     lo = np.full(valid.shape, np.inf)
     hi = np.full(valid.shape, -np.inf)
-    lo[valid] = vlo
-    hi[valid] = vhi
+    lo[valid] = np.choose(own, vlo)
+    hi[valid] = np.choose(own, vhi)
     return lo.min(axis=1), hi.max(axis=1)
 
 
@@ -225,33 +217,16 @@ def _plain_rows(dxlo, dxhi, dylo, dyhi, kinds):
 def bound_pair_kernels(dxlo, dxhi, dylo, dyhi, kinds):
     """Range enclosures of several kernels over one batch of pair boxes.
 
-    `kinds` is a tuple of (a, b, axis): the kernel t^a / r^b with t the
-    displacement along `axis` ("X" for dx, "Y" for dy), a in {1, 2} and
-    b in {2, 3, 5}, or a = 0 for 1/r^b, whose naive enclosure is already
-    tight.  Returns lo, hi of shape (len(kinds), B), bit-identical to one
-    `bound_kernel_batch` call per kernel (with dx and dy swapped for "Y";
-    `boxops.irecip_pos` of r^b for a = 0).  Raises SingularBox if a box may
-    contain the origin.
+    `kinds` is a tuple of (a, b, axis) as `_evaluate` takes them; a = 0 is
+    1/r^b, whose naive enclosure is already tight.  Returns lo, hi of shape
+    (len(kinds), B), bit-identical to one `bound_kernel_batch` call per
+    kernel (with dx and dy swapped for "Y"; `boxops.irecip_pos` of r^b for
+    a = 0).  Raises SingularBox if a box may contain the origin.
 
-    The squares and r-powers of the boxes and of their four corners are
-    computed once for all kernels.  Thin rows keep the naive enclosure; of
-    the others, only rows that are not plain evaluate their 20 edge
-    candidates, `EDGE_ROWS` rows at a time.
+    Thin rows keep the naive enclosure; of the others, only rows that are
+    not plain evaluate their 20 edge candidates, `EDGE_ROWS` rows at a time.
     """
-    x2 = bx.isqr(dxlo, dxhi)
-    y2 = bx.isqr(dylo, dyhi)
-    r2lo, r2hi = bx.iadd(*x2, *y2)
-    if np.any(r2lo <= 0.0):
-        raise SingularBox("kernel box may contain the origin")
-    pw = _r_powers(r2lo, r2hi, {b for _, b, _ in kinds})
-    num = {("X", 1): (dxlo, dxhi), ("Y", 1): (dylo, dyhi), ("X", 2): x2, ("Y", 2): y2}
-    lo = np.empty((len(kinds), len(dxlo)))
-    hi = np.empty_like(lo)
-    for k, (a, b, axis) in enumerate(kinds):
-        if a == 0:
-            lo[k], hi[k] = bx.irecip_pos(*pw[b])
-        else:
-            lo[k], hi[k] = bx.idiv_pos(*num[axis, a], *pw[b])
+    lo, hi, r2lo = _evaluate(dxlo, dxhi, dylo, dyhi, kinds)
     shaped = [k for k, kind in enumerate(kinds) if kind[0] != 0]
     rows = np.flatnonzero(~_thin_rows(dxlo, dxhi, dylo, dyhi, r2lo))
     if not shaped or not rows.size:
@@ -271,45 +246,23 @@ def _candidate_bounds(dxlo, dxhi, dylo, dyhi, kinds):
     # the four corners of every row as (B, 2, 2): x varies on axis 1, y on axis 2
     cx = np.stack([dxlo, dxhi], axis=1)[:, :, None]
     cy = np.stack([dylo, dyhi], axis=1)[:, None, :]
-    cx2 = bx.isqr(cx, cx)
-    cy2 = bx.isqr(cy, cy)
-    cpw = _r_powers(*bx.iadd(*cx2, *cy2), {b for _, b, _ in kinds})
-    cnum = {("X", 1): (cx, cx), ("Y", 1): (cy, cy), ("X", 2): cx2, ("Y", 2): cy2}
-    clo = np.empty((len(kinds), len(dxlo)))
-    chi = np.empty_like(clo)
-    for i, (a, b, axis) in enumerate(kinds):
-        vlo, vhi = bx.idiv_pos(*cnum[axis, a], *cpw[b])
-        clo[i] = vlo.min(axis=(1, 2))
-        chi[i] = vhi.max(axis=(1, 2))
-
+    clo, chi, _ = _evaluate(cx, cx, cy, cy, kinds)
+    clo, chi = clo.min(axis=(2, 3)), chi.max(axis=(2, 3))
+    ab = tuple((a, b) for a, b, _ in kinds)
     rows = np.flatnonzero(~_plain_rows(dxlo, dxhi, dylo, dyhi, kinds))
     for at in range(0, rows.size, EDGE_ROWS):
-        part = rows if rows.size <= EDGE_ROWS else rows[at : at + EDGE_ROWS]
+        part = rows[at : at + EDGE_ROWS]
         xr = (dxlo[part], dxhi[part])
         yr = (dylo[part], dyhi[part])
         # all kinds in one kind-major batch, numerator axis first as in bound_kernel_batch
         args = [xr + yr if axis == "X" else yr + xr for _, _, axis in kinds]
-        a_k, b_k, _ = zip(*kinds)
-        s_k = [_slope(a, b) for a, b, _ in kinds]
-        elo, ehi = _edge_bounds(
-            *(np.concatenate(c) for c in zip(*args)),
-            np.repeat(a_k, part.size),
-            np.repeat(b_k, part.size),
-            np.repeat([s.lo for s in s_k], part.size),
-            np.repeat([s.hi for s in s_k], part.size),
-        )
+        elo, ehi = _edge_bounds(*(np.concatenate(c) for c in zip(*args)), ab, part.size)
         clo[:, part] = np.minimum(clo[:, part], elo.reshape(len(kinds), -1))
         chi[:, part] = np.maximum(chi[:, part], ehi.reshape(len(kinds), -1))
     return clo, chi
 
 
 def _naive(dxlo, dxhi, dylo, dyhi, a, b):
-    tlo, thi = _num_pow(dxlo, dxhi, a)
-    x2lo, x2hi = bx.isqr(dxlo, dxhi)
-    y2lo, y2hi = bx.isqr(dylo, dyhi)
-    r2lo, r2hi = bx.iadd(x2lo, x2hi, y2lo, y2hi)
-    if np.any(r2lo <= 0.0):
-        raise SingularBox("kernel box may contain the origin")
-    rblo, rbhi = _r_pow(r2lo, r2hi, b)
-    return bx.idiv_pos(tlo, thi, rblo, rbhi)
-
+    """The naive enclosure of dx^a / r^b, and inf r^2."""
+    lo, hi, r2lo = _evaluate(dxlo, dxhi, dylo, dyhi, ((a, b, "X"),))
+    return lo[0], hi[0], r2lo

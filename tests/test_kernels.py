@@ -1,8 +1,9 @@
 """Kernel range bounds: worked examples, the dense-grid oracle, the
 tightness guarantees against the naive evaluation, the dense 24-slot
-reference for the compacted evaluation, an mpmath containment oracle, and
-the shared pair path against one call per kernel."""
+reference for the compacted evaluation, an mpmath containment oracle, the
+shared pair path against one call per kernel, and the singular check."""
 
+import re
 import warnings
 
 import mpmath
@@ -14,7 +15,7 @@ from ccenum import kernels
 from ccenum.interval import Interval
 from ccenum.kernels import (
     SingularBox,
-    _r_pow,
+    _r_powers,
     _slope,
     bound_kernel_batch,
     bound_pair_kernels,
@@ -55,18 +56,21 @@ class TestExamples:
 
     @pytest.mark.parametrize("a", [0, 3])
     def test_numerator_exponent_outside_one_two_rejected(self, a):
-        """Only x and x^2 are numerators; any other exponent raises, as a
-        scalar or per row, on a thin (point) row and on a wide one, rather
-        than bound another kernel."""
+        """`bound_kernel_batch` takes only x and x^2 as numerators, and
+        `bound_pair_kernels` only kinds with a in {0, 1, 2}, an integer b > a
+        and axis "X" or "Y".  Anything else raises a ValueError naming the
+        kind, on a thin (point) row and on a wide one, rather than bound
+        another kernel or fail on the way."""
         with pytest.raises(ValueError):
             bound_one(2, 2, 1, 1, a, 3)
         with pytest.raises(ValueError):
             bound_one(1, 2, 1, 2, a, 5)
-        box = [np.array([v, v]) for v in (1.0, 2.0, 1.0, 2.0)]
-        s = _slope(1, 3)
-        slopes = (np.full(2, s.lo), np.full(2, s.hi))
-        with pytest.raises(ValueError):
-            bound_kernel_batch(*box, np.array([1, a]), np.array([3, 3]), *slopes)
+        bad = {0: [(1, 0, "X"), (0, 0, "Y"), (-1, 3, "X")], 3: [(3, 3, "X"), (3, 5, "Y")]}[a]
+        bad += [(1, 3, "Z"), (1, 3.0, "X"), (2, 2, "X")]
+        for box in ((2.0, 2.0, 1.0, 1.0), (1.0, 2.0, 1.0, 2.0)):
+            for kind in bad:
+                with pytest.raises(ValueError, match=re.escape(str(kind))):
+                    bound_pair_kernels(*(np.array([v]) for v in box), ((1, 3, "X"), kind))
 
     def test_axis_swap(self):
         """The "Y" kernel of (dx, dy) is the "X" kernel of (dy, dx)."""
@@ -261,27 +265,16 @@ def _thin(xlo, xhi, ylo, yhi):
     return kernels._thin_rows(xlo, xhi, ylo, yhi, r2lo)
 
 
-def _assert_dense_or_naive(out, xlo, xhi, ylo, yhi, a, b, slo, shi):
+def _check_against_dense(xlo, xhi, ylo, yhi, a, b):
     """Thin rows carry `_naive`, every other row the dense reference, bit for bit."""
-    ref = dense_reference(xlo, xhi, ylo, yhi, a, b, slo, shi)
+    s = _slope(a, b)
+    per_row = (np.full(len(xlo), v) for v in (a, b, s.lo, s.hi))
+    ref = dense_reference(xlo, xhi, ylo, yhi, *per_row)
     naive = kernels._naive(xlo, xhi, ylo, yhi, a, b)
     thin = _thin(xlo, xhi, ylo, yhi)
-    for o, r, v in zip(out, ref, naive):
+    for o, r, v in zip(bound_kernel_batch(xlo, xhi, ylo, yhi, a, b), ref, naive):
         assert np.array_equal(o[~thin], r[~thin]) and np.array_equal(o[thin], v[thin])
     return thin
-
-
-def _check_against_dense(xlo, xhi, ylo, yhi, a, b, per_row=False):
-    s = _slope(a, b)
-    k = len(xlo)
-    av, bv = np.full(k, a), np.full(k, b)
-    slo, shi = np.full(k, s.lo), np.full(k, s.hi)
-    out = (
-        bound_kernel_batch(xlo, xhi, ylo, yhi, av, bv, slo, shi)
-        if per_row
-        else bound_kernel_batch(xlo, xhi, ylo, yhi, a, b)
-    )
-    return _assert_dense_or_naive(out, xlo, xhi, ylo, yhi, av, bv, slo, shi)
 
 
 class TestCompactionMatchesDense:
@@ -292,7 +285,6 @@ class TestCompactionMatchesDense:
         assert len(boxes[0]) >= 20000
         thin = _check_against_dense(*boxes, a, b)
         assert 0.02 < thin.mean() < 0.2  # both rules are exercised
-        _check_against_dense(*boxes, a, b, per_row=True)
 
     @pytest.mark.parametrize("a,b", [(1, 3), (1, 2), (2, 5)])
     def test_special_boxes(self, a, b):
@@ -300,23 +292,6 @@ class TestCompactionMatchesDense:
         _check_against_dense(*boxes, a, b)
         for i in range(len(boxes[0])):  # one row at a time: thin rows alone
             _check_against_dense(*(c[i : i + 1] for c in boxes), a, b)
-
-    def test_per_row_layout_of_the_reduced_jacobian(self):
-        rctx = reduced_ctx(Masses.equal(5))
-        rng = np.random.default_rng(7)
-        k = 600
-        P = rctx.m.P
-        xlo, xhi, ylo, yhi = (c[: k * 4 * P] for c in _random_boxes(rng, 5 * k * 4 * P))
-        assert len(xlo) == k * 4 * P
-        # the four (a, b) Jacobian kernels as one stacked per-row batch
-        a, b, _ = zip(*JAC_KINDS[:4])
-        slopes = [_slope(ai, bi) for ai, bi in zip(a, b)]
-        a = np.tile(np.repeat(a, P), k)
-        b = np.tile(np.repeat(b, P), k)
-        slo = np.tile(np.repeat([s.lo for s in slopes], P), k)
-        shi = np.tile(np.repeat([s.hi for s in slopes], P), k)
-        out = bound_kernel_batch(xlo, xhi, ylo, yhi, a, b, slo, shi)
-        _assert_dense_or_naive(out, xlo, xhi, ylo, yhi, a, b, slo, shi)
 
     def test_singular_box_raises_before_any_float_warning(self):
         # underflow stays quiet: the outward step of boxops from 0.0 is the
@@ -396,7 +371,7 @@ def _per_kernel(xlo, xhi, ylo, yhi, a, b, axis):
     if a > 0:
         return bound_kernel_batch(xlo, xhi, ylo, yhi, a, b)
     r2 = bx.iadd(*bx.isqr(xlo, xhi), *bx.isqr(ylo, yhi))
-    return bx.irecip_pos(*_r_pow(*r2, b))
+    return bx.irecip_pos(*_r_powers(*r2, (b,))[b])
 
 
 def _check_pair(boxes, kinds):
@@ -520,6 +495,72 @@ class TestPairKernelsMatchPerKernel:
 
 
 # ---------------------------------------------------------------------------
+# the singular check runs on boxes, corners and edge candidates alike
+
+
+def _subnormal_square_rows():
+    """Boxes [x, 1] x [c, 1] with c^2 near a few subnormal steps and a
+    critical line y = m x through (x, c), up to 2 ulps off in each side.  One
+    ulp less of c there can move the rounded c^2 down a whole step, so an edge
+    candidate clipped past its box could have inf r^2 = 0 in a box whose own
+    inf r^2 is positive."""
+    rows = []
+    for a, b in ((1, 3), (1, 2), (2, 5)):
+        s = float(np.sqrt((b - a) / a))
+        for m in (s, 1.0 / s):
+            for t in (1.5, 2.5, 3.5):
+                c0 = np.sqrt(t) * 2.0**-537  # c0^2 = t times 2^-1074, the smallest subnormal
+                for c in (_nudged(c0, k) for k in range(-2, 3)):
+                    rows += [(_nudged(c / m, k), 1.0, c, 1.0) for k in range(-2, 3)]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _all_orientations(xlo, xhi, ylo, yhi):
+    """The rows in all four quadrants, with x and y as given and swapped."""
+    out = [(*x, *y) for x in ((xlo, xhi), (-xhi, -xlo)) for y in ((ylo, yhi), (-yhi, -ylo))]
+    out += [(c, d, a, b) for a, b, c, d in out]
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
+class TestSingularCheck:
+    """`_evaluate` raises SingularBox where an inf r^2 <= 0, on boxes,
+    corners and clipped edge candidates alike.  Corners and candidates lie in
+    their box, so both public paths raise exactly when some row's own inf r^2
+    <= 0, also where squares underflow to subnormals."""
+
+    def test_raises_exactly_on_singular_rows(self):
+        rng = np.random.default_rng(1729)
+        parts = [_special_boxes(a, b) for a, b in ((1, 3), (1, 2), (2, 5))]
+        parts += [_edge_case_rows(), _subnormal_square_rows()]
+        # sides on an axis among them, magnitudes where squares underflow or overflow
+        for scale in (1.0, 1e-160, 1e-150, 1e150):
+            parts.append(tuple(c * scale for c in _random_boxes(rng, 1500)))
+        rows = _all_orientations(*(np.concatenate(col) for col in zip(*parts)))
+        with np.errstate(all="ignore"):
+            r2lo = bx.iadd(*bx.isqr(*rows[:2]), *bx.isqr(*rows[2:]))[0]
+            singular = r2lo <= 0.0
+            assert 100 <= singular.sum() < len(singular) / 2
+            ok = tuple(c[~singular] for c in rows)
+            # where no r-power up to r^5 underflows or overflows
+            finite = (r2lo[~singular] > 1e-100) & (np.max(np.abs(ok), axis=0) < 1e50)
+            for kinds in (ACCEL_KINDS, JAC_KINDS):
+                lo, hi = bound_pair_kernels(*ok, kinds)
+                assert np.all(lo[:, finite] <= hi[:, finite]), kinds  # and no NaN
+            for a, b in ((1, 3), (1, 2), (2, 5)):
+                lo, hi = bound_kernel_batch(*ok, a, b)
+                assert np.all(lo[finite] <= hi[finite]), (a, b)
+            for i in rng.choice(np.flatnonzero(singular), 100, replace=False):
+                row = tuple(c[i : i + 1] for c in rows)
+                mixed = tuple(np.concatenate([c[:50], r]) for c, r in zip(ok, row))
+                for box in (row, mixed):
+                    for kinds in (ACCEL_KINDS, JAC_KINDS):
+                        with pytest.raises(SingularBox):
+                            bound_pair_kernels(*box, kinds)
+                    with pytest.raises(SingularBox):
+                        bound_kernel_batch(*box, 2, 5)
+
+
+# ---------------------------------------------------------------------------
 # thin rows keep the naive enclosure
 
 
@@ -549,7 +590,7 @@ def _thin_sample(rng, count):
 def _naive_kind(xlo, xhi, ylo, yhi, a, b, axis):
     if axis == "Y":
         xlo, xhi, ylo, yhi = ylo, yhi, xlo, xhi
-    return kernels._naive(xlo, xhi, ylo, yhi, a, b)
+    return kernels._naive(xlo, xhi, ylo, yhi, a, b)[:2]
 
 
 class TestThinRows:
@@ -560,7 +601,7 @@ class TestThinRows:
         assert (~kernels._plain_rows(*boxes, kinds)).mean() > 0.3
         for a, b in ((1, 3), (1, 2), (2, 5)):
             lo, hi = bound_kernel_batch(*boxes, a, b)
-            nlo, nhi = kernels._naive(*boxes, a, b)
+            nlo, nhi, _ = kernels._naive(*boxes, a, b)
             assert np.array_equal(lo, nlo) and np.array_equal(hi, nhi), (a, b)
         lo, hi = bound_pair_kernels(*boxes, kinds)
         for k, kind in enumerate(kinds):
